@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from .model import (
     rk4_propagate,
 )
 from .optimize import optimize_vlf, synthesize_cluster, synthesize_emulation
-from .symplectic import bloch_messiah
+from .symplectic import bloch_messiah, symplectic_error
 
 __all__ = ["main", "run", "ResultRecord"]
 
@@ -119,9 +120,15 @@ def _report_dict(report: CertificationReport) -> dict:
     }
 
 
+def _worker_count(requested: int, tasks: int) -> int:
+    """Pool size: no more workers than tasks or CPUs, and at least one."""
+    return max(1, min(requested, tasks, os.cpu_count() or 1))
+
+
 def _map_ordered(fn, tasks, workers: int):
     """Apply fn over tasks, optionally on a process pool, preserving order."""
-    if workers <= 1 or len(tasks) <= 1:
+    workers = _worker_count(workers, len(tasks))
+    if workers == 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
@@ -228,6 +235,9 @@ def _vlf_point(task) -> list[float]:
         seed=opt["seed"],
         generations=opt["generations"],
         sigma0=opt["sigma0"],
+        restarts=opt["restarts"],
+        population=opt["population"],
+        parents=opt["parents"],
     )
     return [float(v) for v in res.rho]
 
@@ -243,13 +253,21 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
 
     opt = None
     if scn.optimizer is not None:
-        if scn.optimizer.fitness != "FM":
+        o = scn.optimizer
+        if o.fitness != "FM":
             raise ConfigError("vlf: optimizer.fitness must be 'FM'")
+        if o.restarts is not None and not o.optimize_pump_phases:
+            raise ConfigError(
+                "vlf: optimizer.restarts applies only with optimize_pump_phases"
+            )
         opt = {
-            "optimize_pump_phases": scn.optimizer.optimize_pump_phases,
-            "seed": scn.optimizer.seed if seed is None else seed,
-            "generations": scn.optimizer.generations,
-            "sigma0": scn.optimizer.sigma0,
+            "optimize_pump_phases": o.optimize_pump_phases,
+            "seed": o.seed if seed is None else seed,
+            "generations": o.generations,
+            "sigma0": o.sigma0,
+            "restarts": o.restarts if o.restarts is not None else 4,
+            "population": o.population,
+            "parents": o.parents,
         }
         if not np.allclose(pump.amplitudes, pump.amplitudes[0]):
             raise ConfigError("vlf: optimized runs use a flat pump amplitude")
@@ -377,6 +395,8 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutpu
         generations=opt.generations,
         eta_max=opt.eta_max,
         target=opt.target,
+        population=opt.population,
+        parents=opt.parents,
     )
     state = propagator_exact(cfg, syn.pump, cfg.length)
     results = {
@@ -450,24 +470,7 @@ def cmd_oracle_check(scn: ScenarioConfig, seed: int | None, workers: int) -> Run
     rk4 = rk4_propagate(cfg, pump, z)
     results: dict = {
         "exact_vs_rk4": float(np.abs(exact.propagator - rk4.propagator).max()),
-        "symplectic_defect": float(
-            np.abs(
-                exact.propagator
-                @ np.block(
-                    [
-                        [np.zeros((cfg.n, cfg.n)), np.eye(cfg.n)],
-                        [-np.eye(cfg.n), np.zeros((cfg.n, cfg.n))],
-                    ]
-                )
-                @ exact.propagator.T
-                - np.block(
-                    [
-                        [np.zeros((cfg.n, cfg.n)), np.eye(cfg.n)],
-                        [-np.eye(cfg.n), np.zeros((cfg.n, cfg.n))],
-                    ]
-                )
-            ).max()
-        ),
+        "symplectic_defect": symplectic_error(exact.propagator),
     }
     amps = np.asarray(pump.amplitudes)
     flat = bool(
@@ -544,11 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--parallel", type=int, default=1, metavar="N", help="worker processes for sweeps"
         )
-        sp.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="force serial execution (runs are seeded either way)",
-        )
     return parser
 
 
@@ -573,8 +571,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scn = load_config(args.config)
-        workers = 1 if args.deterministic else max(1, args.parallel)
-        out = _COMMANDS[args.command][0](scn, args.seed, workers)
+        out = _COMMANDS[args.command][0](scn, args.seed, args.parallel)
     except (ConfigError, ValueError) as exc:
         print(f"anwsim: error: {exc}", file=sys.stderr)
         return 1

@@ -247,13 +247,17 @@ class OptimizerSection:
         if fitness not in _FITNESSES:
             raise ConfigError(f"optimizer: unknown fitness '{fitness}', choose from {_FITNESSES}")
         restarts = d.get("restarts")
+        if restarts is not None:
+            restarts = int(restarts)
+            if restarts < 1:
+                raise ConfigError(f"optimizer: restarts must be >= 1, got {restarts}")
         target = d.get("target")
         return cls(
             fitness=fitness,
             population=int(d.get("population", 40)),
             parents=int(d.get("parents", 5)),
             generations=int(d.get("generations", 100)),
-            restarts=None if restarts is None else int(restarts),
+            restarts=restarts,
             seed=int(d.get("seed", 0)),
             sigma0=float(d.get("sigma0", 0.3)),
             eta_max=float(d.get("eta_max", 0.1)),

@@ -17,7 +17,6 @@ from .model import GaussianState
 from .symplectic import d_lo, require_symplectic
 
 __all__ = [
-    "MeasurementConfig",
     "QuadratureCombination",
     "change_basis",
     "variance_at",
@@ -26,30 +25,6 @@ __all__ = [
     "combination_variance",
     "squeezing_db",
 ]
-
-
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """Local-oscillator phases and post-processing gains, one per mode."""
-
-    lo_phases: np.ndarray
-    gains: np.ndarray
-    basis: str = "individual"
-
-    def __post_init__(self):
-        ph = np.asarray(self.lo_phases, dtype=float)
-        g = np.asarray(self.gains, dtype=float)
-        if ph.ndim != 1 or ph.shape != g.shape:
-            raise ValueError(
-                f"lo_phases and gains must be equal-length vectors, got "
-                f"{ph.shape} and {g.shape}"
-            )
-        object.__setattr__(self, "lo_phases", ph)
-        object.__setattr__(self, "gains", g)
-
-    @property
-    def n(self) -> int:
-        return self.lo_phases.size
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ are deterministic for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,6 @@ __all__ = [
     "fitness_FP",
     "vlf_problem",
     "cluster_problem",
-    "emulation_problem",
     "VLFOptimum",
     "optimize_vlf",
     "ClusterSynthesis",
@@ -111,10 +110,15 @@ class ParameterSpace:
         """Wrap angle dimensions to (-pi, pi]; other dimensions untouched."""
         out = np.array(x, dtype=float)
         mask = np.array([k == "angle" for k in self.kinds])
-        w = np.mod(out[mask] + np.pi, 2.0 * np.pi) - np.pi
-        w[w <= -np.pi] += 2.0 * np.pi
-        out[mask] = w
+        out[mask] = _wrap_angle(out[mask])
         return out
+
+
+def _wrap_angle(x: np.ndarray) -> np.ndarray:
+    """Angles wrapped to (-pi, pi]."""
+    w = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+    w[w <= -np.pi] += 2.0 * np.pi
+    return w
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,6 @@ class OptimizationResult:
     evaluations: int
     generations: int
     seed: int
-    deterministic: bool = True
 
 
 def evolve(problem: OptimizationProblem, config: ESConfig = ESConfig()) -> OptimizationResult:
@@ -321,26 +324,58 @@ def cluster_problem(
     return OptimizationProblem(fitness=fit, space=space, x0=x0)
 
 
-def emulation_problem(
-    cfg: ArrayConfig,
-    z: float,
-    graph: GraphSpec,
-    x0: np.ndarray | None = None,
-    eta_max: float = ETA_MAX,
-) -> OptimizationProblem:
-    """F_P over the full 2N + N(N-1) + N parameter vector."""
-    n = cfg.n
-    na = n * (n - 1) // 2
+# ---------------------------------------------------------------------------
+# multi-start driver shared by the synthesis searches
 
-    def fit(p: np.ndarray) -> float:
-        return fitness_FP(cfg, z, graph, p)
 
-    space = ParameterSpace(
-        kinds=("amplitude",) * n + ("angle",) * (2 * n + 2 * na), eta_max=eta_max
+def _multistart(
+    fitness: Callable[[np.ndarray], float],
+    space: ParameterSpace,
+    start: Callable[[int], tuple[np.ndarray, float | np.ndarray]],
+    es_seed: Callable[[int], int],
+    es: ESConfig,
+    restarts: int,
+    seed: int,
+    stop: Callable[[OptimizationResult], bool] | None = None,
+) -> tuple[OptimizationResult, int]:
+    """Run the ES from up to ``restarts`` starting points and merge the runs.
+
+    ``start(r)`` gives restart r's (x0, sigma0) and is called only for a
+    restart that runs, so random starts keep their draw order. ``es``
+    holds the population, parents, generation budget and in-run target;
+    ``es_seed(r)`` seeds restart r. ``stop`` is tested whenever the best
+    run improves and ends the search when it holds. The merged result
+    carries the best parameters, the best-so-far trace over all runs,
+    the summed evaluations and ``seed``; it is returned with the number
+    of restarts run.
+    """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    best: OptimizationResult | None = None
+    trace: list[float] = []
+    evals = 0
+    for r in range(restarts):
+        x0, sigma0 = start(r)
+        res = evolve(
+            OptimizationProblem(fitness, space, x0),
+            replace(es, sigma0=sigma0, seed=es_seed(r)),
+        )
+        evals += res.evaluations
+        running = best.fitness if best is not None else np.inf
+        trace.extend(np.minimum(res.trace, running).tolist())
+        if best is None or res.fitness < best.fitness:
+            best = res
+            if stop is not None and stop(best):
+                break
+    merged = OptimizationResult(
+        parameters=best.parameters,
+        fitness=best.fitness,
+        trace=np.minimum.accumulate(np.array(trace)),
+        evaluations=evals,
+        generations=len(trace),
+        seed=seed,
     )
-    if x0 is None:
-        x0 = np.zeros(3 * n + 2 * na)
-    return OptimizationProblem(fitness=fit, space=space, x0=x0)
+    return merged, r + 1
 
 
 # ---------------------------------------------------------------------------
@@ -371,48 +406,40 @@ def optimize_vlf(
     generations: int = 200,
     sigma0: float = 0.1,
     restarts: int = 4,
+    population: int = 40,
+    parents: int = 5,
 ) -> VLFOptimum:
     """Minimize the summed VLF combinations for a flat-power pump.
 
     The detection-only search tunes the N LO phases and N gains of a
     balanced-homodyne layer on the state produced by a flat pump. It is
-    seeded at the neutral point (zero phases and gains) with a modest
-    step size so it settles in the basin adjacent to that operating
-    point. With ``optimize_pump_phases`` the relative pump phases (N-1
-    extra parameters) join the search, which is what unlocks
-    simultaneous violation at pump powers where detection alone cannot;
-    that landscape traps single runs, so the first restart starts at the
-    neutral point and later ones at random settings with a wider step.
+    a single run seeded at the neutral point (zero phases and gains)
+    with a modest step size so it settles in the basin adjacent to that
+    operating point; ``restarts`` is not used. With
+    ``optimize_pump_phases`` the relative pump phases (N-1 extra
+    parameters) join the search, which is what unlocks simultaneous
+    violation at pump powers where detection alone cannot; that
+    landscape traps single runs, so the first of ``restarts`` runs
+    starts at the neutral point and later ones at random settings with
+    a wider step.
     """
     n = cfg.n
-    if not optimize_pump_phases:
-        config = ESConfig(sigma0=sigma0, max_generations=generations, seed=seed)
-        state = propagator_exact(cfg, PumpProfile.flat(n, amplitude), z)
-        res = evolve(vlf_problem(state), config)
-        theta, gains = res.parameters[:n], res.parameters[n:]
-        pump = PumpProfile.flat(n, amplitude)
-        return VLFOptimum(
-            optimization=res,
-            pump=pump,
-            lo_phases=theta,
-            gains=gains,
-            rho=vlf_values(state, theta, gains),
-        )
+    es = ESConfig(population=population, parents=parents, max_generations=generations)
+    if optimize_pump_phases:
 
-    def fit(p: np.ndarray) -> float:
-        phi = np.concatenate([[0.0], np.cumsum(p[2 * n :])])
-        state = propagator_exact(cfg, PumpProfile(np.full(n, amplitude), phi), z)
-        return fitness_FM(state, p[:n], p[n : 2 * n])
+        def phased(p: np.ndarray) -> PumpProfile:
+            phi = np.concatenate([[0.0], np.cumsum(p[2 * n :])])
+            return PumpProfile(np.full(n, amplitude), phi)
 
-    space = ParameterSpace(kinds=("angle",) * n + ("gain",) * n + ("angle",) * (n - 1))
-    rng = np.random.default_rng(seed)
-    best: OptimizationResult | None = None
-    trace = []
-    evals = 0
-    for restart in range(max(restarts, 1)):
-        if restart == 0:
-            x0, sig = np.zeros(3 * n - 1), sigma0
-        else:
+        def fit(p: np.ndarray) -> float:
+            return fitness_FM(propagator_exact(cfg, phased(p), z), p[:n], p[n : 2 * n])
+
+        space = ParameterSpace(kinds=("angle",) * n + ("gain",) * n + ("angle",) * (n - 1))
+        rng = np.random.default_rng(seed)
+
+        def start(r: int):
+            if r == 0:
+                return np.zeros(3 * n - 1), sigma0
             x0 = np.concatenate(
                 [
                     rng.uniform(-np.pi, np.pi, n),
@@ -420,34 +447,22 @@ def optimize_vlf(
                     rng.uniform(-np.pi, np.pi, n - 1),
                 ]
             )
-            sig = 5.0 * sigma0
-        res = evolve(
-            OptimizationProblem(fit, space, x0),
-            ESConfig(
-                sigma0=sig,
-                max_generations=generations,
-                seed=seed + 1000 * restart,
-            ),
-        )
-        evals += res.evaluations
-        running = best.fitness if best is not None else np.inf
-        trace.extend(np.minimum(res.trace, running).tolist())
-        if best is None or res.fitness < best.fitness:
-            best = res
+            return x0, 5.0 * sigma0
 
-    assert best is not None
-    res = OptimizationResult(
-        parameters=best.parameters,
-        fitness=best.fitness,
-        trace=np.minimum.accumulate(np.array(trace)),
-        evaluations=evals,
-        generations=len(trace),
-        seed=seed,
-    )
+    else:
+        pump = PumpProfile.flat(n, amplitude)
+        state = propagator_exact(cfg, pump, z)
+        problem = vlf_problem(state)
+        fit, space, restarts = problem.fitness, problem.space, 1
+
+        def start(r: int):
+            return problem.x0, sigma0
+
+    res, _ = _multistart(fit, space, start, lambda r: seed + 1000 * r, es, restarts, seed)
     theta, gains = res.parameters[:n], res.parameters[n : 2 * n]
-    phi = np.concatenate([[0.0], np.cumsum(res.parameters[2 * n :])])
-    pump = PumpProfile(np.full(n, amplitude), phi)
-    state = propagator_exact(cfg, pump, z)
+    if optimize_pump_phases:
+        pump = phased(res.parameters)
+        state = propagator_exact(cfg, pump, z)
     return VLFOptimum(
         optimization=res,
         pump=pump,
@@ -527,10 +542,9 @@ def synthesize_cluster(
             eta_max=eta_max,
             target=target,
         )
-        n = cfg.n
-        theta = star.lo_phases + np.where(np.arange(n) == 2, 0.0, np.pi / 2.0)
-        theta = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
-        theta[theta <= -np.pi] += 2.0 * np.pi
+        theta = _wrap_angle(
+            star.lo_phases + np.where(np.arange(cfg.n) == 2, 0.0, np.pi / 2.0)
+        )
         state = propagator_exact(cfg, star.pump, z)
         return ClusterSynthesis(
             graph="ghz",
@@ -542,57 +556,37 @@ def synthesize_cluster(
         )
 
     n = cfg.n
+    es = ESConfig(
+        population=population, parents=parents, max_generations=generations, target=target
+    )
     problem = cluster_problem(cfg, z, graph, eta_max=eta_max)
     rng = np.random.default_rng(seed)
-    _, x_scan = _flat_scan(problem, n, eta_max)
-    best: OptimizationResult | None = None
-    trace = []
-    evals = 0
-    used = 0
-    for restart in range(restarts):
-        used += 1
-        if restart == 0:
-            x0 = x_scan
-            sigma0 = np.concatenate([np.full(n, 0.005), np.full(2 * n, 0.1)])
-        else:
-            x0 = np.concatenate(
-                [rng.uniform(0.0, eta_max, n), rng.uniform(-np.pi, np.pi, 2 * n)]
-            )
-            sigma0 = np.concatenate([np.full(n, 0.02), np.full(2 * n, 0.8)])
-        res = evolve(
-            OptimizationProblem(problem.fitness, problem.space, x0),
-            ESConfig(
-                population=population,
-                parents=parents,
-                sigma0=sigma0,
-                max_generations=generations,
-                target=target,
-                seed=seed + 1000 * restart,
-            ),
-        )
-        evals += res.evaluations
-        running = best.fitness if best is not None else np.inf
-        trace.extend(np.minimum(res.trace, running).tolist())
-        if best is None or res.fitness < best.fitness:
-            best = res
-        if target is not None and best.fitness <= target:
-            break
 
-    assert best is not None
-    combined = OptimizationResult(
-        parameters=best.parameters,
-        fitness=best.fitness,
-        trace=np.minimum.accumulate(np.array(trace)),
-        evaluations=evals,
-        generations=len(trace),
-        seed=seed,
+    def start(r: int):
+        if r == 0:
+            x_scan = _flat_scan(problem, n, eta_max)[1]
+            return x_scan, np.concatenate([np.full(n, 0.005), np.full(2 * n, 0.1)])
+        x0 = np.concatenate(
+            [rng.uniform(0.0, eta_max, n), rng.uniform(-np.pi, np.pi, 2 * n)]
+        )
+        return x0, np.concatenate([np.full(n, 0.02), np.full(2 * n, 0.8)])
+
+    best, used = _multistart(
+        problem.fitness,
+        problem.space,
+        start,
+        lambda r: seed + 1000 * r,
+        es,
+        restarts,
+        seed,
+        None if target is None else lambda best: best.fitness <= target,
     )
     pump = PumpProfile(best.parameters[:n], best.parameters[n : 2 * n])
     theta = best.parameters[2 * n :]
     state = propagator_exact(cfg, pump, z)
     return ClusterSynthesis(
         graph=graph.name,
-        optimization=combined,
+        optimization=best,
         pump=pump,
         lo_phases=theta,
         report=certify(state, graph, theta),
@@ -687,6 +681,8 @@ def synthesize_emulation(
     generations: int = 150,
     eta_max: float = ETA_MAX,
     target: float | None = None,
+    population: int = 40,
+    parents: int = 5,
 ) -> EmulationSynthesis:
     """Minimize F_P so a fibered detection layer reproduces cluster statistics.
 
@@ -709,9 +705,7 @@ def synthesize_emulation(
         # negative amplitude = positive amplitude with a pi phase shift,
         # keeping the fitness smooth for the unconstrained local polish
         amp = p[:n]
-        phi = p[n : 2 * n] + np.where(amp < 0, np.pi, 0.0)
-        phi = np.mod(phi + np.pi, 2.0 * np.pi) - np.pi
-        phi[phi <= -np.pi] += 2.0 * np.pi
+        phi = _wrap_angle(p[n : 2 * n] + np.where(amp < 0, np.pi, 0.0))
         return PumpProfile(np.abs(amp), phi)
 
     def reduced(p: np.ndarray) -> float:
@@ -737,68 +731,52 @@ def synthesize_emulation(
         variances = cluster_nullifier_variances(graph, bm.gains, o)
         return pump, bm, o, variances
 
-    best_res: OptimizationResult | None = None
-    best_x = None
-    best_vars = None
-    evals = 0
-    trace = []
-    for restart in range(restarts):
+    def start(r: int):
         x0 = np.concatenate(
             [rng.uniform(0.0, eta_max, n), rng.uniform(-np.pi, np.pi, n + na)]
         )
-        res = evolve(
-            OptimizationProblem(reduced, space, x0),
-            ESConfig(
-                sigma0=sigma0,
-                max_generations=generations,
-                seed=seed + 101 * restart + 1,
-            ),
-        )
-        evals += res.evaluations
-        running = best_res.fitness if best_res is not None else np.inf
-        trace.extend(np.minimum(res.trace, running).tolist())
-        if best_res is None or res.fitness < best_res.fitness:
-            best_res, best_x = res, res.parameters
-            best_vars = summarize(best_x)[3]
-        if (
-            target is not None
-            and best_vars is not None
-            and best_vars.sum() <= target
-            and best_vars.max() < 1.0
-        ):
-            break
+        return x0, sigma0
 
-    assert best_res is not None and best_x is not None
+    def reached(best: OptimizationResult) -> bool:
+        variances = summarize(best.parameters)[3]
+        return bool(variances.sum() <= target and variances.max() < 1.0)
+
+    best, _ = _multistart(
+        reduced,
+        space,
+        start,
+        lambda r: seed + 101 * r + 1,
+        ESConfig(population=population, parents=parents, max_generations=generations),
+        restarts,
+        seed,
+        None if target is None else reached,
+    )
     polish = _scipy_minimize(
         reduced,
-        best_x,
+        best.parameters,
         method="Nelder-Mead",
         options=dict(maxfev=4000, fatol=1e-12, xatol=1e-9),
     )
-    evals += polish.nfev
-    x = polish.x if polish.fun <= best_res.fitness else best_x
-    fp = float(min(polish.fun, best_res.fitness))
-    trace.append(fp)
+    x = polish.x if polish.fun <= best.fitness else best.parameters
+    fp = float(min(polish.fun, best.fitness))
 
     pump, bm, o, variances = summarize(x)
     u1 = bm.passive_out[:n, :n] + 1j * bm.passive_out[n:, :n]
     p_opt, theta, _ = _nearest_phase_rotation(uc @ o @ u1.conj().T)
-    theta = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
-    theta[theta <= -np.pi] += 2.0 * np.pi
     combined = OptimizationResult(
         parameters=space.wrap(x),
         fitness=fp,
-        trace=np.minimum.accumulate(np.array(trace)),
-        evaluations=evals,
-        generations=len(trace),
+        trace=np.minimum.accumulate(np.append(best.trace, fp)),
+        evaluations=best.evaluations + polish.nfev,
+        generations=best.generations + 1,
         seed=seed,
     )
     return EmulationSynthesis(
         graph=graph.name,
         optimization=combined,
         pump=pump,
-        mixing_euler=space.wrap(x)[2 * n :],
-        lo_phases=theta,
+        mixing_euler=combined.parameters[2 * n :],
+        lo_phases=_wrap_angle(theta),
         post_euler=orthogonal_to_euler(p_opt),
         fp=fp,
         nullifier_variances=variances,

@@ -1,12 +1,22 @@
 """Tests for the command-line runners and their result records."""
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
-from anwsim import linear_supermodes, min_variance, propagator_exact
-from anwsim.cli import run
+import anwsim.optimize
+from anwsim import (
+    PumpProfile,
+    linear_supermodes,
+    min_variance,
+    optimize_vlf,
+    propagator_exact,
+    symplectic_error,
+)
+from anwsim.cli import _worker_count, run
 
 ARRAY = {"n": 5, "coupling": 0.24, "length": 30.0}
 LINEAR_PUMP = {
@@ -176,6 +186,17 @@ class TestPropagate:
         )
         assert (out_a / "propagate.csv").read_text() == (out_b / "propagate.csv").read_text()
 
+    def test_worker_count_clamped(self):
+        """The pool never exceeds the task count or the CPU count."""
+        cpus = os.cpu_count() or 1
+        assert _worker_count(1, 10) == 1
+        assert _worker_count(0, 10) == 1
+        assert _worker_count(-3, 10) == 1
+        assert _worker_count(8, 1) == 1
+        assert _worker_count(8, 0) == 1
+        assert _worker_count(10**6, 10**6) == cpus
+        assert _worker_count(2, 10) == min(2, cpus)
+
 
 class TestVlf:
     """van Loock-Furusawa sweeps."""
@@ -228,6 +249,41 @@ class TestVlf:
         record = read_record(out, "vlf")
         assert record["seed"] == 99
         assert record["results"]["optimized"]
+
+    def test_optimizer_sizes_reach_driver(self, tmp_path, cfg5):
+        """restarts, population and parents are passed to optimize_vlf."""
+        sizes = {"restarts": 1, "population": 12, "parents": 3}
+        data = {
+            "array": ARRAY,
+            "pump": {"amplitudes": [0.015] * 5},
+            "optimizer": {
+                "fitness": "FM",
+                "generations": 3,
+                "seed": 7,
+                "optimize_pump_phases": True,
+                **sizes,
+            },
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["vlf", "--config", cfg_path, "--out", str(out)]) == 0
+        rows = read_record(out, "vlf")["results"]["rows"]
+        opt = optimize_vlf(
+            cfg5, 30.0, 0.015, optimize_pump_phases=True, seed=7, generations=3,
+            sigma0=0.3, **sizes,
+        )
+        assert rows[0][1:-1] == opt.rho.tolist()
+
+    def test_detection_only_rejects_restarts(self, tmp_path, capsys):
+        """The single-run detection search refuses a restart count."""
+        data = {
+            "array": ARRAY,
+            "pump": {"amplitudes": [0.015] * 5},
+            "optimizer": {"fitness": "FM", "generations": 3, "restarts": 2},
+        }
+        cfg_path = write_config(tmp_path, data)
+        assert run(["vlf", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        assert "restarts applies only with optimize_pump_phases" in capsys.readouterr().err
 
     def test_optimizer_needs_fm(self, tmp_path, capsys):
         """The vlf command refuses cluster objectives."""
@@ -344,6 +400,41 @@ class TestCluster:
         assert len(results["mixing_euler_pi"]) == 10
         assert len(results["post_euler_pi"]) == 10
 
+    def test_fp_es_sizes_reach_driver(self, tmp_path, monkeypatch):
+        """population and parents set the F_P search's evaluation budget."""
+
+        def no_polish(fun, x0, **kwargs):
+            return OptimizeResult(x=x0, fun=np.inf, nfev=0)
+
+        monkeypatch.setattr(anwsim.optimize, "_scipy_minimize", no_polish)
+        data = {
+            "array": ARRAY,
+            "graph": {"preset": "linear"},
+            "optimizer": {
+                "fitness": "FP",
+                "generations": 2,
+                "restarts": 1,
+                "population": 12,
+                "parents": 3,
+                "seed": 11,
+            },
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["cluster", "--config", cfg_path, "--out", str(out)]) == 0
+        assert read_record(out, "cluster")["results"]["evaluations"] == 3 + 12 * 2
+
+    def test_zero_restarts_exits_one(self, tmp_path, capsys):
+        """A search needs at least one restart."""
+        data = {
+            "array": ARRAY,
+            "graph": {"preset": "linear"},
+            "optimizer": {"fitness": "FC", "generations": 2, "restarts": 0},
+        }
+        cfg_path = write_config(tmp_path, data)
+        assert run(["cluster", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        assert "anwsim: error: optimizer: restarts must be >= 1" in capsys.readouterr().err
+
     def test_rejects_fm(self, tmp_path, capsys):
         """The cluster command refuses the VLF objective."""
         data = {
@@ -412,6 +503,19 @@ class TestOracleCheck:
         assert results["symplectic_defect"] < 1e-10
         assert results["analytic_vs_exact"] < 1e-10
         assert results["analytic_vs_no_ordering"] < 1e-8
+
+    def test_symplectic_defect_matches_library(self, tmp_path, cfg5):
+        """The reported defect is symplectic_error of the exact propagator."""
+        data = {"array": ARRAY, "pump": LINEAR_PUMP}
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["oracle-check", "--config", cfg_path, "--out", str(out)]) == 0
+        results = read_record(out, "oracle-check")["results"]
+        pump = PumpProfile(
+            np.array(LINEAR_PUMP["amplitudes"]), np.pi * np.array(LINEAR_PUMP["phases_pi"])
+        )
+        exact = propagator_exact(cfg5, pump, 30.0)
+        assert results["symplectic_defect"] == symplectic_error(exact.propagator)
 
     def test_flat_pump_high_gain_analytic(self, tmp_path):
         """The analytic flat-pump solution stays exact at high gain."""

@@ -188,6 +188,12 @@ class TestOptimizerSection:
         assert section.target == 1.5
         assert section.optimize_pump_phases
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_at_least_one(self, restarts):
+        """A search runs at least once."""
+        with pytest.raises(ConfigError, match="optimizer: restarts must be >= 1"):
+            OptimizerSection.from_dict({"fitness": "FC", "restarts": restarts})
+
 
 class TestSweepSection:
     """Sweep grids for distance or pump amplitude."""

@@ -12,7 +12,6 @@ from anwsim import (
     ParameterSpace,
     PumpProfile,
     cluster_problem,
-    emulation_problem,
     evolve,
     fitness_FC,
     fitness_FM,
@@ -123,7 +122,6 @@ class TestEvolve:
         assert np.array_equal(a.parameters, b.parameters)
         assert np.array_equal(a.trace, b.trace)
         assert a.fitness == b.fitness
-        assert a.deterministic
 
     def test_seeds_differ(self):
         """Different seeds explore differently."""
@@ -269,17 +267,6 @@ class TestProblemBuilders:
         assert problem.space.kinds[:5] == ("amplitude",) * 5
         assert np.all(problem.space.upper[:5] == 0.05)
 
-    def test_emulation_problem_shape(self, cfg5):
-        """Emulation search runs over the packed 35-entry vector."""
-        problem = emulation_problem(cfg5, 30.0, graph_preset("star"))
-        assert problem.space.dimension == 35
-        assert np.isclose(
-            problem.fitness(problem.x0),
-            fitness_FP(cfg5, 30.0, graph_preset("star"), np.zeros(35)),
-            atol=1e-12,
-            rtol=0,
-        )
-
 
 class TestOptimizeVLF:
     """Flat-pump VLF driver consistency (small budgets)."""
@@ -317,6 +304,22 @@ class TestOptimizeVLF:
         )
         assert np.all(np.diff(opt.optimization.trace) <= 0)
         assert opt.optimization.generations == opt.optimization.trace.size
+
+
+class TestRestartCount:
+    """Every multi-start search needs at least one restart."""
+
+    def test_vlf_pump_phases(self, cfg5):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            optimize_vlf(cfg5, 30.0, 0.015, optimize_pump_phases=True, restarts=0)
+
+    def test_cluster(self, cfg5):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            synthesize_cluster(cfg5, 30.0, graph_preset("linear"), restarts=0)
+
+    def test_emulation(self, cfg5):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            synthesize_emulation(cfg5, 30.0, graph_preset("linear"), restarts=0)
 
 
 class TestSynthesizeCluster:
