@@ -10,6 +10,7 @@ stay replayable from their embedded configuration alone.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,11 +46,40 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, where: str) -> float:
+    """A finite number; booleans and strings are not numbers."""
+    if not _is_number(value):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    out = float(value)
+    if not np.isfinite(out):
+        raise ConfigError(f"{where}: expected a finite number, got {out}")
+    return out
+
+
+def _integer(value, where: str) -> int:
+    """An integer proper: not a boolean and not a float such as 5.7."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, where: str) -> bool:
+    """A JSON boolean; strings such as "false" are rejected."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _floats(value, where: str) -> tuple[float, ...]:
-    try:
-        out = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a list of numbers") from exc
+    if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
+        raise ConfigError(f"{where}: expected a list of numbers")
+    out = tuple(float(v) for v in value)
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{where}: expected finite numbers, got {list(out)}")
     return out
 
 
@@ -73,14 +103,14 @@ class ArraySection:
     @classmethod
     def from_dict(cls, d: dict) -> "ArraySection":
         _check_keys(d, {"n", "coupling", "length", "profile"}, "array")
-        n = int(_require(d, "n", "array"))
+        n = _integer(_require(d, "n", "array"), "array.n")
         profile = d.get("profile")
         if profile is not None:
             profile = _floats(profile, "array.profile")
         return cls(
             n=n,
-            coupling=float(_require(d, "coupling", "array")),
-            length=float(_require(d, "length", "array")),
+            coupling=_number(_require(d, "coupling", "array"), "array.coupling"),
+            length=_number(_require(d, "length", "array"), "array.length"),
             profile=profile,
         )
 
@@ -180,9 +210,11 @@ class GraphSection:
             raise ConfigError(f"graph: unknown preset '{preset}', choose from {PRESETS}")
         labeling = d.get("labeling")
         if labeling is not None:
-            labeling = tuple(int(v) for v in labeling)
+            labeling = tuple(_integer(v, "graph.labeling") for v in labeling)
         if adjacency is not None:
-            adjacency = tuple(tuple(int(v) for v in row) for row in adjacency)
+            adjacency = tuple(
+                tuple(_integer(v, "graph.adjacency") for v in row) for row in adjacency
+            )
         return cls(
             preset=preset,
             adjacency=adjacency,
@@ -248,21 +280,23 @@ class OptimizerSection:
             raise ConfigError(f"optimizer: unknown fitness '{fitness}', choose from {_FITNESSES}")
         restarts = d.get("restarts")
         if restarts is not None:
-            restarts = int(restarts)
+            restarts = _integer(restarts, "optimizer.restarts")
             if restarts < 1:
                 raise ConfigError(f"optimizer: restarts must be >= 1, got {restarts}")
         target = d.get("target")
         return cls(
             fitness=fitness,
-            population=int(d.get("population", 40)),
-            parents=int(d.get("parents", 5)),
-            generations=int(d.get("generations", 100)),
+            population=_integer(d.get("population", 40), "optimizer.population"),
+            parents=_integer(d.get("parents", 5), "optimizer.parents"),
+            generations=_integer(d.get("generations", 100), "optimizer.generations"),
             restarts=restarts,
-            seed=int(d.get("seed", 0)),
-            sigma0=float(d.get("sigma0", 0.3)),
-            eta_max=float(d.get("eta_max", 0.1)),
-            target=None if target is None else float(target),
-            optimize_pump_phases=bool(d.get("optimize_pump_phases", False)),
+            seed=_integer(d.get("seed", 0), "optimizer.seed"),
+            sigma0=_number(d.get("sigma0", 0.3), "optimizer.sigma0"),
+            eta_max=_number(d.get("eta_max", 0.1), "optimizer.eta_max"),
+            target=None if target is None else _number(target, "optimizer.target"),
+            optimize_pump_phases=_flag(
+                d.get("optimize_pump_phases", False), "optimizer.optimize_pump_phases"
+            ),
         )
 
     def to_dict(self) -> dict:
@@ -300,9 +334,9 @@ class SweepSection:
         if "values" in d:
             values = _floats(d["values"], "sweep.values")
         else:
-            start = float(_require(d, "start", "sweep"))
-            stop = float(_require(d, "stop", "sweep"))
-            points = int(_require(d, "points", "sweep"))
+            start = _number(_require(d, "start", "sweep"), "sweep.start")
+            stop = _number(_require(d, "stop", "sweep"), "sweep.stop")
+            points = _integer(_require(d, "points", "sweep"), "sweep.points")
             if points < 1:
                 raise ConfigError("sweep: points must be positive")
             values = tuple(np.linspace(start, stop, points).tolist())

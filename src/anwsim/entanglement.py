@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import QuadratureCombination, combination_variance
+from .measurement import QuadratureCombination, quadrature_variances
 from .model import GaussianState
 from .symplectic import bloch_messiah, d_lo, euler_orthogonal
 
@@ -32,7 +32,10 @@ __all__ = [
     "CertificationReport",
     "ClusterTransform",
     "vlf_rho",
+    "vlf_rows",
     "vlf_values",
+    "vlf_values_batch",
+    "nullifier_rows",
     "nullifiers_for",
     "certify",
     "cluster_transform",
@@ -138,6 +141,28 @@ def _node_rows(graph: GraphSpec) -> np.ndarray:
     return rows
 
 
+def nullifier_rows(graph: GraphSpec) -> np.ndarray:
+    """Normalized nullifier coefficient rows in mode ordering, (n, 2n).
+
+    Row k is node k's nullifier; the labeling routes each node's
+    coefficients to its physical mode.
+    """
+    n = graph.n
+    node_rows = _node_rows(graph)
+    modes = graph.labeling - 1
+    rows = np.zeros_like(node_rows)
+    rows[:, modes] = node_rows[:, :n]
+    rows[:, n + modes] = node_rows[:, n:]
+    return rows
+
+
+def _lo_phases(n: int, lo_phases: np.ndarray | None) -> np.ndarray:
+    theta = np.zeros(n) if lo_phases is None else np.asarray(lo_phases, dtype=float)
+    if theta.shape != (n,):
+        raise ValueError(f"need {n} LO phases, got shape {theta.shape}")
+    return theta
+
+
 def nullifiers_for(
     graph: GraphSpec, lo_phases: np.ndarray | None = None
 ) -> list[QuadratureCombination]:
@@ -147,16 +172,49 @@ def nullifiers_for(
     is ordered by node; the labeling routes each node's coefficients to
     its physical mode.
     """
-    n = graph.n
-    theta = np.zeros(n) if lo_phases is None else np.asarray(lo_phases, dtype=float)
-    if theta.shape != (n,):
-        raise ValueError(f"need {n} LO phases, got shape {theta.shape}")
-    node_rows = _node_rows(graph)
-    modes = graph.labeling - 1
-    rows = np.zeros_like(node_rows)
-    rows[:, modes] = node_rows[:, :n]
-    rows[:, n + modes] = node_rows[:, n:]
-    return [QuadratureCombination(row, theta) for row in rows]
+    theta = _lo_phases(graph.n, lo_phases)
+    return [QuadratureCombination(row, theta) for row in nullifier_rows(graph)]
+
+
+def vlf_rows(gains: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the van Loock-Furusawa combinations.
+
+    ``gains`` is (..., N); the result is (..., 2(N-1), 2N) with the N-1
+    x rows x_i - x_{i+1} first, then the N-1 y rows
+    y_i + y_{i+1} + sum_{i' != i,i+1} G_i' y_i'.
+    """
+    g = np.asarray(gains, dtype=float)
+    n = g.shape[-1]
+    i = np.arange(n - 1)
+    rows = np.zeros(g.shape[:-1] + (2 * (n - 1), 2 * n))
+    rows[..., i, i] = 1.0
+    rows[..., i, i + 1] = -1.0
+    rows[..., n - 1 :, n:] = g[..., None, :]
+    rows[..., n - 1 + i, n + i] = 1.0
+    rows[..., n - 1 + i, n + i + 1] = 1.0
+    return rows
+
+
+def vlf_values_batch(
+    covariance: np.ndarray, lo_phases: np.ndarray, gains: np.ndarray
+) -> np.ndarray:
+    """The N-1 VLF values over stacks: (..., 2N, 2N) covariances with
+    (..., N) LO phases and gains give (..., N-1)."""
+    var = quadrature_variances(covariance, vlf_rows(gains), lo_phases)
+    m = var.shape[-1] // 2
+    return var[..., :m] + var[..., m:]
+
+
+def vlf_values(
+    state: GaussianState, lo_phases: np.ndarray, gains: np.ndarray
+) -> np.ndarray:
+    """All N-1 van Loock-Furusawa values for one detection setting."""
+    n = state.n
+    theta = np.asarray(lo_phases, dtype=float)
+    g = np.asarray(gains, dtype=float)
+    if theta.shape != (n,) or g.shape != (n,):
+        raise ValueError(f"lo_phases and gains must have length {n}")
+    return vlf_values_batch(state.covariance, theta, g)
 
 
 def vlf_rho(
@@ -168,30 +226,9 @@ def vlf_rho(
           + V[y_i(t_i) + y_{i+1}(t_{i+1}) + sum_{i' != i,i+1} G_i' y_i'(t_i')]
     with 1-based i up to N-1.
     """
-    n = state.n
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"pair index {i} out of range 1..{n - 1}")
-    theta = np.asarray(lo_phases, dtype=float)
-    g = np.asarray(gains, dtype=float)
-    if theta.shape != (n,) or g.shape != (n,):
-        raise ValueError(f"lo_phases and gains must have length {n}")
-    cx = np.zeros(2 * n)
-    cx[i - 1], cx[i] = 1.0, -1.0
-    cy = np.zeros(2 * n)
-    cy[n:] = g
-    cy[n + i - 1], cy[n + i] = 1.0, 1.0
-    return combination_variance(
-        state, QuadratureCombination(cx, theta)
-    ) + combination_variance(state, QuadratureCombination(cy, theta))
-
-
-def vlf_values(
-    state: GaussianState, lo_phases: np.ndarray, gains: np.ndarray
-) -> np.ndarray:
-    """All N-1 van Loock-Furusawa values for one detection setting."""
-    return np.array(
-        [vlf_rho(state, lo_phases, gains, i) for i in range(1, state.n)]
-    )
+    if not 1 <= i <= state.n - 1:
+        raise IndexError(f"pair index {i} out of range 1..{state.n - 1}")
+    return float(vlf_values(state, lo_phases, gains)[i - 1])
 
 
 @dataclass(frozen=True)
@@ -235,7 +272,7 @@ def certify(
     bound. The VLF values are evaluated at the same LO phases with the
     given gains (zero if omitted).
     """
-    theta = np.asarray(lo_phases, dtype=float)
+    theta = _lo_phases(graph.n, lo_phases)
     g = np.zeros(graph.n) if gains is None else np.asarray(gains, dtype=float)
     if bounds is None:
         if graph.name not in _PRESET_BOUNDS:
@@ -244,9 +281,7 @@ def certify(
                 "pass them explicitly"
             )
         bounds = _PRESET_BOUNDS[graph.name]
-    variances = np.array(
-        [combination_variance(state, c) for c in nullifiers_for(graph, theta)]
-    )
+    variances = quadrature_variances(state.covariance, nullifier_rows(graph), theta)
     pairs = tuple(pair for pair, _ in bounds)
     sums = np.array([variances[a - 1] + variances[b - 1] for a, b in pairs])
     return CertificationReport(

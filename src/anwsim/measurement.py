@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GaussianState
-from .symplectic import d_lo, require_symplectic
+from .symplectic import require_symplectic
 
 __all__ = [
     "QuadratureCombination",
@@ -23,6 +23,7 @@ __all__ = [
     "min_variance",
     "max_variance",
     "combination_variance",
+    "quadrature_variances",
     "squeezing_db",
 ]
 
@@ -109,14 +110,39 @@ def max_variance(state: GaussianState, i: int) -> tuple[float, float]:
     return _extremal(state, i, 1.0)
 
 
+def quadrature_variances(
+    covariance: np.ndarray, coefficients: np.ndarray, angles: np.ndarray
+) -> np.ndarray:
+    """Variances of k combinations of rotated quadratures, over stacks.
+
+    ``covariance`` is (..., 2N, 2N), ``coefficients`` (..., k, 2N) in the
+    QuadratureCombination layout and ``angles`` (..., N); leading axes
+    broadcast, and the result is (..., k). The LO rotation is pulled onto
+    the coefficients element-wise, w_x = cos t c_x - sin t c_y and
+    w_y = sin t c_x + cos t c_y, and each variance is w V w^T.
+    """
+    v = np.asarray(covariance, dtype=float)
+    c = np.asarray(coefficients, dtype=float)
+    t = np.asarray(angles, dtype=float)[..., None, :]
+    n = t.shape[-1]
+    if c.shape[-1] != 2 * n or v.shape[-2:] != (2 * n, 2 * n):
+        raise ValueError(
+            f"need 2N coefficients and a 2N x 2N covariance for N angles, got "
+            f"{c.shape}, {v.shape} and {t.shape[:-2] + (n,)}"
+        )
+    cos, sin = np.cos(t), np.sin(t)
+    cx, cy = c[..., :n], c[..., n:]
+    w = np.concatenate([cos * cx - sin * cy, sin * cx + cos * cy], axis=-1)
+    return np.einsum("...ki,...ki->...k", w @ v, w)
+
+
 def combination_variance(state: GaussianState, combo: QuadratureCombination) -> float:
     """Variance of a gain-weighted combination of rotated quadratures."""
     if combo.n != state.n:
         raise ValueError(f"combination is over {combo.n} modes, state has {state.n}")
-    rot = d_lo(combo.angles)
-    c = combo.coefficients
-    w = rot.T @ c  # pull the rotation onto the coefficient vector
-    return float(w @ state.covariance @ w)
+    return float(
+        quadrature_variances(state.covariance, combo.coefficients[None, :], combo.angles)[0]
+    )
 
 
 def squeezing_db(variance: float) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "coupling_tridiagonal",
     "linear_supermodes",
     "quad_generator",
+    "propagators",
     "propagator_exact",
     "coupling_matrix_L",
     "integrated_L",
@@ -90,6 +91,22 @@ class ArrayConfig:
         object.__setattr__(self, "profile", prof)
 
 
+def _pump_arrays(amplitudes, phases) -> tuple[np.ndarray, np.ndarray]:
+    """Validated float (..., N) amplitude and phase arrays of equal shape."""
+    amp = np.asarray(amplitudes, dtype=float)
+    ph = np.asarray(phases, dtype=float)
+    if amp.ndim < 1 or amp.shape != ph.shape:
+        raise ValueError(
+            f"amplitudes and phases must be equal-length vectors or equal-shape "
+            f"stacks, got {amp.shape} and {ph.shape}"
+        )
+    if np.any(amp < 0) or not np.all(np.isfinite(amp)):
+        raise ValueError("pump amplitudes must be finite and nonnegative")
+    if not np.all(np.isfinite(ph)):
+        raise ValueError("pump phases must be finite")
+    return amp, ph
+
+
 @dataclass(frozen=True)
 class PumpProfile:
     """Per-guide pump strength eta_j = amplitudes[j] * exp(i phases[j])."""
@@ -98,17 +115,12 @@ class PumpProfile:
     phases: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=float)
-        ph = np.asarray(self.phases, dtype=float)
-        if amp.ndim != 1 or amp.shape != ph.shape:
+        amp, ph = _pump_arrays(self.amplitudes, self.phases)
+        if amp.ndim != 1:
             raise ValueError(
                 f"amplitudes and phases must be equal-length vectors, got "
                 f"{amp.shape} and {ph.shape}"
             )
-        if np.any(amp < 0) or not np.all(np.isfinite(amp)):
-            raise ValueError("pump amplitudes must be finite and nonnegative")
-        if not np.all(np.isfinite(ph)):
-            raise ValueError("pump phases must be finite")
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "phases", ph)
 
@@ -214,6 +226,28 @@ def _check_pump(cfg: ArrayConfig, pump: PumpProfile) -> None:
         raise ValueError(f"pump has {pump.n} entries but the array has {cfg.n} guides")
 
 
+def _diag(v: np.ndarray) -> np.ndarray:
+    """np.diag over the last axis of a (..., n) stack."""
+    n = v.shape[-1]
+    out = np.zeros(v.shape[:-1] + (n * n,))
+    out[..., :: n + 1] = v
+    return out.reshape(v.shape + (n,))
+
+
+def _generators(cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Generators Q of (..., N) pumps, stacked as (..., 2N, 2N)."""
+    if amplitudes.shape[-1] != cfg.n:
+        raise ValueError(
+            f"pump has {amplitudes.shape[-1]} entries but the array has {cfg.n} guides"
+        )
+    c = coupling_tridiagonal(cfg)
+    es = _diag(amplitudes * np.sin(phases))
+    ec = _diag(amplitudes * np.cos(phases))
+    top = np.concatenate([-2 * es, -c + 2 * ec], axis=-1)
+    bottom = np.concatenate([c + 2 * ec, 2 * es], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
 def quad_generator(cfg: ArrayConfig, pump: PumpProfile) -> np.ndarray:
     """Constant real generator Q of the quadrature equations dq/dz = Q q.
 
@@ -221,11 +255,28 @@ def quad_generator(cfg: ArrayConfig, pump: PumpProfile) -> np.ndarray:
     y = i(A^dag - A); the coupling enters the off-diagonal blocks and the
     parametric gain the sin/cos projections of the pump phase.
     """
-    _check_pump(cfg, pump)
-    c = coupling_tridiagonal(cfg)
-    es = np.diag(pump.amplitudes * np.sin(pump.phases))
-    ec = np.diag(pump.amplitudes * np.cos(pump.phases))
-    return np.block([[-2 * es, -c + 2 * ec], [c + 2 * ec, 2 * es]])
+    return _generators(cfg, pump.amplitudes, pump.phases)
+
+
+def propagators(
+    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float
+) -> np.ndarray:
+    """Exact propagators expm(Q z) of a stack of pumps.
+
+    ``amplitudes`` and ``phases`` are (..., N) arrays, one pump per
+    leading index; the result is the (..., 2N, 2N) stack of propagators,
+    each bit-equal to propagator_exact of its own pump.
+    """
+    amp, ph = _pump_arrays(amplitudes, phases)
+    return _propagate(cfg, amp, ph, z)
+
+
+def _propagate(
+    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float
+) -> np.ndarray:
+    if z < 0:
+        raise ValueError(f"z must be nonnegative, got {z}")
+    return mat_exp(_generators(cfg, amplitudes, phases) * z)
 
 
 def propagator_exact(cfg: ArrayConfig, pump: PumpProfile, z: float) -> GaussianState:
@@ -233,11 +284,10 @@ def propagator_exact(cfg: ArrayConfig, pump: PumpProfile, z: float) -> GaussianS
 
     The coupled-mode equations have z-independent coefficients, so the
     full solution is a single matrix exponential with no ordering
-    approximation at any gain.
+    approximation at any gain. This is the one-pump case of propagators;
+    the pump was validated when the PumpProfile was built.
     """
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
-    s = mat_exp(quad_generator(cfg, pump) * z)
+    s = _propagate(cfg, pump.amplitudes, pump.phases, z)
     return GaussianState.from_propagator(z, s, "individual")
 
 

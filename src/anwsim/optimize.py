@@ -29,12 +29,13 @@ from .entanglement import (
     cluster_nullifier_variances,
     cluster_transform,
     emulation_error,
-    nullifiers_for,
+    nullifier_rows,
     vlf_values,
+    vlf_values_batch,
 )
-from .measurement import combination_variance
-from .model import ArrayConfig, GaussianState, PumpProfile, propagator_exact
-from .symplectic import bloch_messiah, d_lo, euler_orthogonal, orthogonal_to_euler
+from .measurement import quadrature_variances
+from .model import ArrayConfig, GaussianState, PumpProfile, propagator_exact, propagators
+from .symplectic import bloch_messiah, euler_orthogonal, orthogonal_to_euler
 
 __all__ = [
     "ETA_MAX",
@@ -123,9 +124,14 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """A fitness callable over a typed parameter space with a start point."""
+    """A fitness callable over a typed parameter space with a start point.
 
-    fitness: Callable[[np.ndarray], float]
+    ``fitness`` maps a (..., d) array of parameter vectors to a (...)
+    array of values: a (m, d) batch gives m values, and a single
+    d-vector gives one scalar.
+    """
+
+    fitness: Callable[[np.ndarray], np.ndarray | float]
     space: ParameterSpace
     x0: np.ndarray
 
@@ -178,6 +184,17 @@ class OptimizationResult:
     seed: int
 
 
+def _evaluate(fitness: Callable, x: np.ndarray) -> np.ndarray:
+    """Fitness of a (m, d) batch, checked to be m values."""
+    f = np.asarray(fitness(x), dtype=float)
+    if f.shape != (len(x),):
+        raise ValueError(
+            f"fitness of a ({len(x)}, {x.shape[1]}) batch returned shape {f.shape}, "
+            f"expected ({len(x)},)"
+        )
+    return f
+
+
 def evolve(problem: OptimizationProblem, config: ESConfig = ESConfig()) -> OptimizationResult:
     """Minimize the problem fitness with a (mu/mu, lambda) self-adaptive ES.
 
@@ -185,7 +202,8 @@ def evolve(problem: OptimizationProblem, config: ESConfig = ESConfig()) -> Optim
     step sizes), offspring mutate their own step-size vectors through
     log-normal perturbations, and selection is comma (parents die each
     generation) with best-so-far tracking. Stops early when the target
-    fitness is reached.
+    fitness is reached. The fitness is called once per generation on
+    the (lambda, d) batch of offspring (once on the mu initial parents).
     """
     rng = np.random.default_rng(config.seed)
     space = problem.space
@@ -197,13 +215,9 @@ def evolve(problem: OptimizationProblem, config: ESConfig = ESConfig()) -> Optim
     # scalar step sizes are in natural units, vectors are taken verbatim
     sigma0 = float(raw) * space.scales if raw.ndim == 0 else np.broadcast_to(raw, (n,)).copy()
 
-    xs = np.empty((mu, n))
-    ss = np.empty((mu, n))
-    fs = np.empty(mu)
-    for i in range(mu):
-        xs[i] = space.clip(problem.x0 + sigma0 * rng.standard_normal(n))
-        ss[i] = sigma0
-        fs[i] = problem.fitness(xs[i])
+    xs = space.clip(problem.x0 + sigma0 * rng.standard_normal((mu, n)))
+    ss = np.tile(sigma0, (mu, 1))
+    fs = _evaluate(problem.fitness, xs)
     evals = mu
     order = np.argsort(fs, kind="stable")
     best_f = float(fs[order[0]])
@@ -215,15 +229,14 @@ def evolve(problem: OptimizationProblem, config: ESConfig = ESConfig()) -> Optim
         gens += 1
         xm = xs.mean(axis=0)
         sm = np.exp(np.log(ss).mean(axis=0))
-        cand_x = np.empty((lam, n))
-        cand_s = np.empty((lam, n))
-        cand_f = np.empty(lam)
-        for k in range(lam):
-            s = sm * np.exp(tau_g * rng.standard_normal() + tau_c * rng.standard_normal(n))
-            s = np.clip(s, 1e-9, 2.0)
-            x = space.clip(xm + s * rng.standard_normal(n))
-            cand_x[k], cand_s[k] = x, s
-            cand_f[k] = problem.fitness(x)
+        # per offspring: one global step-size draw, n per-dimension step-size
+        # draws and n mutation draws, in that order
+        draws = rng.standard_normal((lam, 2 * n + 1))
+        cand_s = np.clip(
+            sm * np.exp(tau_g * draws[:, :1] + tau_c * draws[:, 1 : n + 1]), 1e-9, 2.0
+        )
+        cand_x = space.clip(xm + cand_s * draws[:, n + 1 :])
+        cand_f = _evaluate(problem.fitness, cand_x)
         evals += lam
         idx = np.argsort(cand_f, kind="stable")[:mu]
         xs, ss, fs = cand_x[idx], cand_s[idx], cand_f[idx]
@@ -253,6 +266,27 @@ def fitness_FM(state: GaussianState, lo_phases: np.ndarray, gains: np.ndarray) -
     return float(vlf_values(state, lo_phases, gains).sum())
 
 
+def _covariances(
+    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float
+) -> np.ndarray:
+    """Covariances S S^T of the states of (..., N) pumps."""
+    s = propagators(cfg, amplitudes, phases, z)
+    return s @ np.swapaxes(s, -1, -2)
+
+
+def _nullifier_sums(
+    cfg: ArrayConfig,
+    z: float,
+    rows: np.ndarray,
+    amplitudes: np.ndarray,
+    phases: np.ndarray,
+    lo_phases: np.ndarray,
+) -> np.ndarray:
+    """Summed nullifier variances over (..., N) pump and LO arrays."""
+    v = _covariances(cfg, amplitudes, phases, z)
+    return quadrature_variances(v, rows, lo_phases).sum(axis=-1)
+
+
 def fitness_FC(
     cfg: ArrayConfig,
     z: float,
@@ -262,9 +296,12 @@ def fitness_FC(
     lo_phases: np.ndarray,
 ) -> float:
     """Sum of the graph nullifier variances after exact propagation."""
-    state = propagator_exact(cfg, PumpProfile(amplitudes, phases), z)
+    pump = PumpProfile(amplitudes, phases)
+    theta = np.asarray(lo_phases, dtype=float)
+    if theta.shape != (cfg.n,):
+        raise ValueError(f"need {cfg.n} LO phases, got shape {theta.shape}")
     return float(
-        sum(combination_variance(state, c) for c in nullifiers_for(graph, lo_phases))
+        _nullifier_sums(cfg, z, nullifier_rows(graph), pump.amplitudes, pump.phases, theta)
     )
 
 
@@ -292,12 +329,26 @@ def fitness_FP(cfg: ArrayConfig, z: float, graph: GraphSpec, params: np.ndarray)
 # problem builders
 
 
+def _rowwise(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray | float]:
+    """Lift a one-vector fitness to the (..., d) -> (...) batch contract."""
+
+    def batched(p: np.ndarray) -> np.ndarray | float:
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1:
+            return fn(p)
+        flat = p.reshape(-1, p.shape[-1])
+        return np.array([fn(row) for row in flat]).reshape(p.shape[:-1])
+
+    return batched
+
+
 def vlf_problem(state: GaussianState) -> OptimizationProblem:
     """F_M over (lo_phases, gains), seeded at the untouched detection point."""
     n = state.n
 
-    def fit(p: np.ndarray) -> float:
-        return fitness_FM(state, p[:n], p[n:])
+    def fit(p: np.ndarray) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        return vlf_values_batch(state.covariance, p[..., :n], p[..., n:]).sum(axis=-1)
 
     space = ParameterSpace(kinds=("angle",) * n + ("gain",) * n)
     return OptimizationProblem(fitness=fit, space=space, x0=np.zeros(2 * n))
@@ -312,9 +363,11 @@ def cluster_problem(
 ) -> OptimizationProblem:
     """F_C over (amplitudes, pump phases, lo_phases)."""
     n = cfg.n
+    rows = nullifier_rows(graph)
 
-    def fit(p: np.ndarray) -> float:
-        return fitness_FC(cfg, z, graph, p[:n], p[n : 2 * n], p[2 * n :])
+    def fit(p: np.ndarray) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        return _nullifier_sums(cfg, z, rows, p[..., :n], p[..., n : 2 * n], p[..., 2 * n :])
 
     space = ParameterSpace(
         kinds=("amplitude",) * n + ("angle",) * (2 * n), eta_max=eta_max
@@ -427,12 +480,19 @@ def optimize_vlf(
     es = ESConfig(population=population, parents=parents, max_generations=generations)
     if optimize_pump_phases:
 
-        def phased(p: np.ndarray) -> PumpProfile:
-            phi = np.concatenate([[0.0], np.cumsum(p[2 * n :])])
-            return PumpProfile(np.full(n, amplitude), phi)
+        def pump_phases(p: np.ndarray) -> np.ndarray:
+            # guide 1 is the phase reference; the rest accumulate offsets
+            rel = np.cumsum(p[..., 2 * n :], axis=-1)
+            return np.concatenate([np.zeros(rel.shape[:-1] + (1,)), rel], axis=-1)
 
-        def fit(p: np.ndarray) -> float:
-            return fitness_FM(propagator_exact(cfg, phased(p), z), p[:n], p[n : 2 * n])
+        def phased(p: np.ndarray) -> PumpProfile:
+            return PumpProfile(np.full(n, amplitude), pump_phases(p))
+
+        def fit(p: np.ndarray) -> np.ndarray:
+            p = np.asarray(p, dtype=float)
+            phi = pump_phases(p)
+            v = _covariances(cfg, np.full(phi.shape, amplitude), phi, z)
+            return vlf_values_batch(v, p[..., :n], p[..., n : 2 * n]).sum(axis=-1)
 
         space = ParameterSpace(kinds=("angle",) * n + ("gain",) * n + ("angle",) * (n - 1))
         rng = np.random.default_rng(seed)
@@ -492,19 +552,16 @@ class ClusterSynthesis:
         return float(self.report.nullifier_variances.sum())
 
 
-def _flat_scan(
-    problem: OptimizationProblem, n: int, eta_max: float
-) -> tuple[float, np.ndarray]:
+def _flat_scan(problem: OptimizationProblem, n: int, eta_max: float) -> np.ndarray:
     """Coarse grid over flat-pump working points (common amplitude and
-    common phase, LO untouched); the best cell seeds the first restart."""
-    best = (np.inf, problem.x0)
-    for c in np.linspace(eta_max / 10.0, eta_max, 10):
-        for phi0 in np.linspace(-np.pi, np.pi, 12, endpoint=False):
-            x = np.concatenate([np.full(n, c), np.full(n, phi0), np.zeros(n)])
-            f = problem.fitness(x)
-            if f < best[0]:
-                best = (f, x)
-    return best
+    common phase, LO untouched), evaluated as one batch; the best cell
+    seeds the first restart."""
+    cells = np.zeros((120, 3 * n))
+    cells[:, :n] = np.repeat(np.linspace(eta_max / 10.0, eta_max, 10), 12)[:, None]
+    cells[:, n : 2 * n] = np.tile(np.linspace(-np.pi, np.pi, 12, endpoint=False), 10)[:, None]
+    f = problem.fitness(cells)
+    k = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
+    return cells[k] if f[k] < np.inf else problem.x0
 
 
 def synthesize_cluster(
@@ -564,7 +621,7 @@ def synthesize_cluster(
 
     def start(r: int):
         if r == 0:
-            x_scan = _flat_scan(problem, n, eta_max)[1]
+            x_scan = _flat_scan(problem, n, eta_max)
             return x_scan, np.concatenate([np.full(n, 0.005), np.full(2 * n, 0.1)])
         x0 = np.concatenate(
             [rng.uniform(0.0, eta_max, n), rng.uniform(-np.pi, np.pi, 2 * n)]
@@ -708,6 +765,7 @@ def synthesize_emulation(
         phi = _wrap_angle(p[n : 2 * n] + np.where(amp < 0, np.pi, 0.0))
         return PumpProfile(np.abs(amp), phi)
 
+    @_rowwise
     def reduced(p: np.ndarray) -> float:
         state = propagator_exact(cfg, _pump(p), z)
         r1 = bloch_messiah(state.propagator).passive_out

@@ -56,10 +56,14 @@ def require_symplectic(s: np.ndarray, tol: float = SYMPLECTIC_TOL) -> None:
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square real or complex matrix."""
+    """Matrix exponential of a square real or complex matrix.
+
+    A (..., m, m) stack is exponentiated slice by slice; each slice equals
+    the exponential of that matrix alone, bit for bit.
+    """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square in its last two axes, got shape {a.shape}")
     return expm(a)
 
 

@@ -567,6 +567,56 @@ class TestOracleCheck:
             )
 
 
+LINEAR_VERIFY = {
+    "array": ARRAY,
+    "pump": LINEAR_PUMP,
+    "measurement": {"lo_phases_pi": [0.0] * 5},
+    "graph": {"preset": "linear"},
+}
+
+
+class TestStrictConfig:
+    """Values of the wrong kind stop at the config boundary, naming the field."""
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            (
+                "supermodes",
+                {"array": {**ARRAY, "length": float("inf")}},
+                "array.length: expected a finite number",
+            ),
+            ("supermodes", {"array": {**ARRAY, "n": 5.7}}, "array.n: expected an integer"),
+            (
+                "verify",
+                {**LINEAR_VERIFY, "measurement": {"lo_phases_pi": [float("nan")] + [0.0] * 4}},
+                "measurement.lo_phases_pi: expected finite numbers",
+            ),
+            (
+                "vlf",
+                {
+                    "array": ARRAY,
+                    "pump": {"amplitudes": [0.015] * 5},
+                    "optimizer": {"fitness": "FM", "optimize_pump_phases": "false"},
+                },
+                "optimizer.optimize_pump_phases: expected true or false",
+            ),
+            (
+                "supermodes",
+                {"array": {**ARRAY, "coupling": float("nan")}},
+                "array.coupling: expected a finite number",
+            ),
+        ],
+        ids=["inf-length", "fractional-n", "nan-lo-phase", "string-flag", "nan-coupling"],
+    )
+    def test_rejected_with_field_name(self, tmp_path, capsys, command, data, message):
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg_path, "--out", str(out)]) == 1
+        assert f"anwsim: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDriver:
     """Top-level argument handling."""
 

@@ -31,11 +31,40 @@ np.random.seed(42)
 
 
 def sphere(x):
-    return float(np.sum(x**2))
+    return np.sum(x**2, axis=-1)
 
 
 def free_space(n):
     return ParameterSpace(kinds=("free",) * n)
+
+
+def serial_candidates(problem, config):
+    """Every point the ES evaluates, drawn one candidate at a time."""
+    rng = np.random.default_rng(config.seed)
+    space = problem.space
+    n = space.dimension
+    mu, lam = config.parents, config.population
+    tau_g = 1.0 / np.sqrt(2.0 * n)
+    tau_c = 1.0 / np.sqrt(2.0 * np.sqrt(n))
+    sigma0 = float(config.sigma0) * space.scales
+    xs = np.array([space.clip(problem.x0 + sigma0 * rng.standard_normal(n)) for _ in range(mu)])
+    ss = np.tile(sigma0, (mu, 1))
+    seen = list(xs)
+    for _ in range(config.max_generations):
+        xm = xs.mean(axis=0)
+        sm = np.exp(np.log(ss).mean(axis=0))
+        cand_x, cand_s, cand_f = [], [], []
+        for _ in range(lam):
+            s = sm * np.exp(tau_g * rng.standard_normal() + tau_c * rng.standard_normal(n))
+            s = np.clip(s, 1e-9, 2.0)
+            x = space.clip(xm + s * rng.standard_normal(n))
+            cand_x.append(x)
+            cand_s.append(s)
+            cand_f.append(problem.fitness(x))
+        seen += cand_x
+        idx = np.argsort(cand_f, kind="stable")[:mu]
+        xs, ss = np.array(cand_x)[idx], np.array(cand_s)[idx]
+    return np.array(seen)
 
 
 class TestParameterSpace:
@@ -164,7 +193,7 @@ class TestEvolve:
     def test_amplitudes_stay_bounded(self):
         """Maximizing an amplitude sum saturates at eta_max, not beyond."""
         space = ParameterSpace(kinds=("amplitude",) * 3)
-        problem = OptimizationProblem(lambda x: -float(x.sum()), space, np.zeros(3))
+        problem = OptimizationProblem(lambda x: -x.sum(axis=-1), space, np.zeros(3))
         res = evolve(problem, ESConfig(max_generations=60, seed=4))
         assert np.all(res.parameters <= ETA_MAX)
         assert np.all(res.parameters >= 0.0)
@@ -173,7 +202,7 @@ class TestEvolve:
     def test_angles_reported_wrapped(self):
         """Angle parameters come back folded into (-pi, pi]."""
         space = ParameterSpace(kinds=("angle",) * 2)
-        problem = OptimizationProblem(lambda x: -float(x.sum()), space, np.zeros(2))
+        problem = OptimizationProblem(lambda x: -x.sum(axis=-1), space, np.zeros(2))
         res = evolve(problem, ESConfig(max_generations=40, seed=5))
         assert np.all(res.parameters > -np.pi)
         assert np.all(res.parameters <= np.pi)
@@ -186,6 +215,29 @@ class TestEvolve:
             ESConfig(sigma0=np.array([0.5, 0.1, 0.01]), max_generations=50, seed=6),
         )
         assert res.fitness < 1e-2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_batches_hold_serial_draws(self, seed):
+        """One fitness call per generation sees exactly the candidates that
+        a serial per-candidate loop of the ES draws, bit for bit."""
+        space = ParameterSpace(kinds=("amplitude", "angle", "gain", "free") * 2)
+        problem = OptimizationProblem(sphere, space, np.linspace(-0.3, 0.5, 8))
+        config = ESConfig(population=9, parents=3, sigma0=0.8, max_generations=6, seed=seed)
+        seen = []
+
+        def recording(x):
+            seen.append(x.copy())
+            return sphere(x)
+
+        evolve(OptimizationProblem(recording, space, problem.x0), config)
+        assert [b.shape for b in seen] == [(3, 8)] + [(9, 8)] * 6
+        assert np.array_equal(np.concatenate(seen), serial_candidates(problem, config))
+
+    def test_scalar_fitness_of_batch_rejected(self):
+        """A fitness that ignores the batch axis is an error, not a broadcast."""
+        problem = OptimizationProblem(lambda x: 0.0, free_space(3), np.zeros(3))
+        with pytest.raises(ValueError, match=r"returned shape \(\), expected \(5,\)"):
+            evolve(problem, ESConfig(population=10, parents=5, max_generations=1))
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 2**32 - 1))

@@ -95,6 +95,19 @@ class TestMatExp:
         """Rectangular input raises."""
         with pytest.raises(ValueError, match="matrix must be square"):
             mat_exp(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            mat_exp(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            mat_exp(np.zeros(3))
+
+    def test_stack_equals_slices(self):
+        """A (..., m, m) stack exponentiates each slice bit for bit."""
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((3, 4, 6, 6)) * rng.uniform(0.1, 3.0, (3, 4, 1, 1))
+        out = mat_exp(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(out[idx], mat_exp(stack[idx]))
 
 
 class TestTakagi:
