@@ -4,8 +4,8 @@ Subcommands: supermodes | propagate | vlf | cluster | verify | oracle-check.
 Every run writes a self-contained JSON record (the echoed configuration
 plus all computed metrics, versions and the seed), and optionally a
 plot-ready CSV with a z_mm first column. Runs are deterministic given
-the config and seed; sweeps can fan out to a process pool with ordered,
-reproducible assembly.
+the config and seed; a sweep is evaluated in process as one stack of
+propagators over its grid.
 
 Exit codes: 0 on success, 2 when a verify run fails certification,
 1 on configuration or runtime errors.
@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,19 +25,21 @@ import scipy
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config
-from .entanglement import CertificationReport, certify, vlf_values
-from .measurement import change_basis, min_variance, squeezing_db
+from .entanglement import CertificationReport, certify, vlf_values_batch
+from .measurement import min_variance, squeezing_db
 from .model import (
     ArrayConfig,
     GaussianState,
     PumpProfile,
+    flat_pump_analytic,
     linear_supermodes,
     propagator_exact,
     propagator_no_ordering,
+    propagators,
     rk4_propagate,
 )
 from .optimize import optimize_vlf, synthesize_cluster, synthesize_emulation
-from .symplectic import bloch_messiah, symplectic_error
+from .symplectic import bloch_messiah, require_symplectic, symplectic_error
 
 __all__ = ["main", "run", "ResultRecord"]
 
@@ -88,7 +88,12 @@ def _round_trip(values) -> list:
 
 
 def _state_summary(state: GaussianState) -> dict:
-    """Covariance plus per-mode and per-supermode squeezing levels."""
+    """Covariance plus per-mode and per-supermode squeezing levels.
+
+    Refuses a propagator that has lost symplecticity (roundoff at very
+    high gain), so no record reports numbers taken from it.
+    """
+    require_symplectic(state.propagator)
     n = state.n
     cfg_modes = [min_variance(state, i)[0] for i in range(1, n + 1)]
     bm = bloch_messiah(state.propagator)
@@ -120,25 +125,11 @@ def _report_dict(report: CertificationReport) -> dict:
     }
 
 
-def _worker_count(requested: int, tasks: int) -> int:
-    """Pool size: no more workers than tasks or CPUs, and at least one."""
-    return max(1, min(requested, tasks, os.cpu_count() or 1))
-
-
-def _map_ordered(fn, tasks, workers: int):
-    """Apply fn over tasks, optionally on a process pool, preserving order."""
-    workers = _worker_count(workers, len(tasks))
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 # ---------------------------------------------------------------------------
 # supermodes
 
 
-def cmd_supermodes(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
+def cmd_supermodes(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     cfg = scn.array.array_config()
     modes = linear_supermodes(cfg)
     header = ["k", "lambda_k"] + [f"m_{j}" for j in range(1, cfg.n + 1)]
@@ -163,40 +154,43 @@ def cmd_supermodes(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOu
 # propagate
 
 
-def _propagate_row(task) -> list[float]:
-    cfg, pump, z = task
-    n = cfg.n
-    state = propagator_exact(cfg, pump, z)
-    t = linear_supermodes(cfg).to_supermode_basis()
-    sm_state = change_basis(state, t, "linear_supermode")
-    row = [z]
-    for i in range(1, n + 1):
-        v = min_variance(state, i)[0]
-        row += [v, squeezing_db(v)]
-    for k in range(1, n + 1):
-        v = min_variance(sm_state, k)[0]
-        row += [v, squeezing_db(v)]
-    gains = bloch_messiah(state.propagator).gains
-    for r in gains:
-        v = float(np.exp(-2.0 * r))
-        row += [v, squeezing_db(v)]
-    return row
+def _covariances(s: np.ndarray) -> np.ndarray:
+    """Covariances S S^T of a stack of propagators."""
+    return s @ np.swapaxes(s, -1, -2)
 
 
-def cmd_propagate(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
+def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     scn.require("pump")
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
     if scn.sweep is not None:
         if scn.sweep.variable != "z":
             raise ConfigError("propagate: sweep variable must be 'z'")
-        grid = list(scn.sweep.values)
+        grid = np.asarray(scn.sweep.values)
     else:
-        grid = np.linspace(0.0, cfg.length, 61).tolist()
-    if any(z < 0 for z in grid):
+        grid = np.linspace(0.0, cfg.length, 61)
+    if np.any(grid < 0):
         raise ConfigError("propagate: z values must be nonnegative")
-    rows = _map_ordered(_propagate_row, [(cfg, pump, z) for z in grid], workers)
+    t = linear_supermodes(cfg).to_supermode_basis()
+    require_symplectic(t)
+    s = propagators(cfg, pump.amplitudes, pump.phases, grid)
+    cov = _covariances(s)
+    s_sm, cov_sm = t @ s, t @ cov @ t.T
     n = cfg.n
+    rows = []
+    for k, z in enumerate(grid.tolist()):
+        row = [z]
+        for state in (
+            GaussianState(z, s[k], cov[k]),
+            GaussianState(z, s_sm[k], cov_sm[k], "linear_supermode"),
+        ):
+            for i in range(1, n + 1):
+                var = min_variance(state, i)[0]
+                row += [var, squeezing_db(var)]
+        for r in bloch_messiah(s[k]).gains:
+            var = float(np.exp(-2.0 * r))
+            row += [var, squeezing_db(var)]
+        rows.append(row)
     header = ["z_mm"]
     for tag in ("mode", "sm", "nsm"):
         for i in range(1, n + 1):
@@ -210,7 +204,7 @@ def cmd_propagate(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOut
     best = min(min(r[1 + 2 * n : 1 + 4 * n : 2]) for r in rows)
     return RunOutput(
         record,
-        f"{len(grid)} z points, best supermode variance {best:.4f} "
+        f"{len(rows)} z points, best supermode variance {best:.4f} "
         f"({squeezing_db(best):.2f} dB)",
         header,
         rows,
@@ -221,28 +215,7 @@ def cmd_propagate(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOut
 # vlf
 
 
-def _vlf_point(task) -> list[float]:
-    (cfg, pump, z, theta, gains, opt) = task
-    if opt is None:
-        state = propagator_exact(cfg, pump, z)
-        rho = vlf_values(state, theta, gains)
-        return [float(v) for v in rho]
-    res = optimize_vlf(
-        cfg,
-        z,
-        float(pump.amplitudes[0]),
-        optimize_pump_phases=opt["optimize_pump_phases"],
-        seed=opt["seed"],
-        generations=opt["generations"],
-        sigma0=opt["sigma0"],
-        restarts=opt["restarts"],
-        population=opt["population"],
-        parents=opt["parents"],
-    )
-    return [float(v) for v in res.rho]
-
-
-def cmd_vlf(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
+def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     scn.require("pump")
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
@@ -251,55 +224,59 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
     variable = "z" if sweep is None else sweep.variable
     grid = [cfg.length] if sweep is None else list(sweep.values)
 
-    opt = None
-    if scn.optimizer is not None:
-        o = scn.optimizer
+    o = scn.optimizer
+    if o is not None:
         if o.fitness != "FM":
             raise ConfigError("vlf: optimizer.fitness must be 'FM'")
         if o.restarts is not None and not o.optimize_pump_phases:
             raise ConfigError(
                 "vlf: optimizer.restarts applies only with optimize_pump_phases"
             )
-        opt = {
-            "optimize_pump_phases": o.optimize_pump_phases,
-            "seed": o.seed if seed is None else seed,
-            "generations": o.generations,
-            "sigma0": o.sigma0,
-            "restarts": o.restarts if o.restarts is not None else 4,
-            "population": o.population,
-            "parents": o.parents,
-        }
         if not np.allclose(pump.amplitudes, pump.amplitudes[0]):
             raise ConfigError("vlf: optimized runs use a flat pump amplitude")
+        seed = o.seed if seed is None else seed
+        rows_rho = []
+        for v in grid:
+            z, eta = (v, float(pump.amplitudes[0])) if variable == "z" else (cfg.length, v)
+            res = optimize_vlf(
+                cfg,
+                z,
+                eta,
+                optimize_pump_phases=o.optimize_pump_phases,
+                seed=seed,
+                generations=o.generations,
+                sigma0=o.sigma0,
+                restarts=o.restarts if o.restarts is not None else 4,
+                population=o.population,
+                parents=o.parents,
+            )
+            rows_rho.append(res.rho)
     else:
         scn.require("measurement")
-
-    tasks = []
-    for v in grid:
         if variable == "z":
-            task_pump, z = pump, float(v)
+            s = propagators(cfg, pump.amplitudes, pump.phases, grid)
         else:
-            task_pump = PumpProfile(np.full(n, float(v)), np.asarray(pump.phases))
-            z = cfg.length
-        theta = scn.measurement.lo_phases() if scn.measurement is not None else np.zeros(n)
-        gains = (
-            scn.measurement.gain_vector(n) if scn.measurement is not None else np.zeros(n)
-        )
-        tasks.append((cfg, task_pump, z, theta, gains, opt))
-    rows_rho = _map_ordered(_vlf_point, tasks, workers)
+            amps = np.repeat(np.asarray(grid)[:, None], n, axis=1)
+            phases = np.broadcast_to(pump.phases, amps.shape)
+            s = propagators(cfg, amps, phases, cfg.length)
+        theta = scn.measurement.lo_phases()
+        gains = scn.measurement.gain_vector(n)
+        rows_rho = vlf_values_batch(_covariances(s), theta, gains)
 
     col0 = "z_mm" if variable == "z" else "eta_per_mm"
     header = [col0] + [f"rho_{i}" for i in range(1, n)] + ["rho_sum"]
-    rows = [[float(v)] + r + [float(np.sum(r))] for v, r in zip(grid, rows_rho)]
+    rows = [
+        [float(v)] + r.tolist() + [float(np.sum(r))] for v, r in zip(grid, rows_rho)
+    ]
     record = ResultRecord(
         command="vlf",
         config=scn.to_dict(),
-        seed=seed if seed is not None else (opt["seed"] if opt else None),
+        seed=seed,
         results={
             "variable": variable,
             "header": header,
             "rows": rows,
-            "optimized": opt is not None,
+            "optimized": o is not None,
         },
     )
     last = rows[-1]
@@ -316,7 +293,7 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
 # cluster
 
 
-def cmd_cluster(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
+def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     scn.require("graph", "optimizer")
     cfg = scn.array.array_config()
     graph = scn.graph.graph_spec()
@@ -428,7 +405,7 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutpu
 # verify
 
 
-def cmd_verify(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
+def cmd_verify(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     scn.require("pump", "measurement", "graph")
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
@@ -452,16 +429,18 @@ def cmd_verify(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput
 # oracle-check
 
 
-def _covariance_diff_supermode(cfg: ArrayConfig, pump: PumpProfile, z: float) -> float:
-    """Max abs covariance difference, no-ordering vs exact, supermode basis."""
-    t = linear_supermodes(cfg).to_supermode_basis()
+def _covariance_diff_supermode(
+    t: np.ndarray, cfg: ArrayConfig, pump: PumpProfile, z: float
+) -> float:
+    """Max abs covariance difference, no-ordering vs exact, in the supermode
+    basis that t maps to."""
     exact = propagator_exact(cfg, pump, z)
     approx = propagator_no_ordering(cfg, pump, z)
     v_exact = t @ exact.covariance @ t.T
     return float(np.abs(approx.covariance - v_exact).max())
 
 
-def cmd_oracle_check(scn: ScenarioConfig, seed: int | None, workers: int) -> RunOutput:
+def cmd_oracle_check(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     scn.require("pump")
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
@@ -480,13 +459,11 @@ def cmd_oracle_check(scn: ScenarioConfig, seed: int | None, workers: int) -> Run
         and (cfg.profile is None or np.allclose(cfg.profile, 1.0))
     )
     results["flat_pump"] = flat
+    t = linear_supermodes(cfg).to_supermode_basis()
     if flat:
-        from .model import flat_pump_analytic
-
         eta = amps[0] * np.exp(1j * pump.phases[0])
         sol = flat_pump_analytic(cfg, eta, z)
         sm = propagator_no_ordering(cfg, pump, z)
-        t = linear_supermodes(cfg).to_supermode_basis()
         results["analytic_vs_exact"] = float(
             np.abs(sol.state.propagator - t @ exact.propagator @ t.T).max()
         )
@@ -500,7 +477,7 @@ def cmd_oracle_check(scn: ScenarioConfig, seed: int | None, workers: int) -> Run
         scales = np.logspace(-3.0, -2.0, 8)
         errs = [
             _covariance_diff_supermode(
-                cfg, PumpProfile(s * shape, np.asarray(pump.phases)), z
+                t, cfg, PumpProfile(s * shape, np.asarray(pump.phases)), z
             )
             for s in scales
         ]
@@ -545,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--format", choices=("csv", "json"), default=None, help="table format")
         sp.add_argument(
-            "--parallel", type=int, default=1, metavar="N", help="worker processes for sweeps"
+            "--parallel", type=int, default=1, metavar="N", help="accepted; has no effect"
         )
     return parser
 
@@ -571,13 +548,13 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scn = load_config(args.config)
-        out = _COMMANDS[args.command][0](scn, args.seed, args.parallel)
-    except (ConfigError, ValueError) as exc:
+        out = _COMMANDS[args.command][0](scn, args.seed)
+        outdir = Path(args.out) if args.out is not None else Path(scn.output.directory)
+        fmt = args.format if args.format is not None else scn.output.format
+        written = _write_outputs(out, outdir, fmt)
+    except (ValueError, OSError) as exc:
         print(f"anwsim: error: {exc}", file=sys.stderr)
         return 1
-    outdir = Path(args.out) if args.out is not None else Path(scn.output.directory)
-    fmt = args.format if args.format is not None else scn.output.format
-    written = _write_outputs(out, outdir, fmt)
     print(out.summary)
     for path in written:
         print(f"wrote {path}")

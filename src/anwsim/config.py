@@ -60,6 +60,14 @@ def _number(value, where: str) -> float:
     return out
 
 
+def _positive(value, where: str) -> float:
+    """A finite number above zero."""
+    out = _number(value, where)
+    if not out > 0:
+        raise ConfigError(f"{where}: must be positive, got {out}")
+    return out
+
+
 def _integer(value, where: str) -> int:
     """An integer proper: not a boolean and not a float such as 5.7."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -284,15 +292,28 @@ class OptimizerSection:
             if restarts < 1:
                 raise ConfigError(f"optimizer: restarts must be >= 1, got {restarts}")
         target = d.get("target")
+        parents = _integer(d.get("parents", 5), "optimizer.parents")
+        if parents < 1:
+            raise ConfigError(f"optimizer.parents: must be >= 1, got {parents}")
+        population = _integer(d.get("population", 40), "optimizer.population")
+        if population < parents:
+            raise ConfigError(
+                f"optimizer.population: must be >= parents ({parents}), got {population}"
+            )
+        generations = _integer(d.get("generations", 100), "optimizer.generations")
+        if generations < 0:
+            raise ConfigError(f"optimizer.generations: must be >= 0, got {generations}")
+        sigma0 = _positive(d.get("sigma0", 0.3), "optimizer.sigma0")
+        eta_max = _positive(d.get("eta_max", 0.1), "optimizer.eta_max")
         return cls(
             fitness=fitness,
-            population=_integer(d.get("population", 40), "optimizer.population"),
-            parents=_integer(d.get("parents", 5), "optimizer.parents"),
-            generations=_integer(d.get("generations", 100), "optimizer.generations"),
+            population=population,
+            parents=parents,
+            generations=generations,
             restarts=restarts,
             seed=_integer(d.get("seed", 0), "optimizer.seed"),
-            sigma0=_number(d.get("sigma0", 0.3), "optimizer.sigma0"),
-            eta_max=_number(d.get("eta_max", 0.1), "optimizer.eta_max"),
+            sigma0=sigma0,
+            eta_max=eta_max,
             target=None if target is None else _number(target, "optimizer.target"),
             optimize_pump_phases=_flag(
                 d.get("optimize_pump_phases", False), "optimizer.optimize_pump_phases"
@@ -404,9 +425,19 @@ class ScenarioConfig:
             raise ConfigError("pump: amplitude count does not match array.n")
         if cfg.measurement is not None and len(cfg.measurement.lo_phases_pi) != cfg.array.n:
             raise ConfigError("measurement: lo_phases_pi count does not match array.n")
+        gains = cfg.measurement.gains if cfg.measurement is not None else None
+        if gains is not None and len(gains) != cfg.array.n:
+            raise ConfigError("measurement: gains count does not match array.n")
         if cfg.graph is not None and cfg.graph.adjacency is not None:
             if len(cfg.graph.adjacency) != cfg.array.n:
                 raise ConfigError("graph: adjacency size does not match array.n")
+        if cfg.graph is not None and cfg.graph.preset is not None:
+            nodes = graph_preset(cfg.graph.preset).n
+            if nodes != cfg.array.n:
+                raise ConfigError(
+                    f"graph.preset '{cfg.graph.preset}' has {nodes} nodes but "
+                    f"array.n is {cfg.array.n}"
+                )
         return cfg
 
     def to_dict(self) -> dict:

@@ -259,24 +259,27 @@ def quad_generator(cfg: ArrayConfig, pump: PumpProfile) -> np.ndarray:
 
 
 def propagators(
-    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float
+    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float | np.ndarray
 ) -> np.ndarray:
-    """Exact propagators expm(Q z) of a stack of pumps.
+    """Exact propagators expm(Q z) of a stack of pumps and distances.
 
     ``amplitudes`` and ``phases`` are (..., N) arrays, one pump per
-    leading index; the result is the (..., 2N, 2N) stack of propagators,
-    each bit-equal to propagator_exact of its own pump.
+    leading index, and ``z`` is a scalar or an array that broadcasts
+    against those leading axes: one (N,) pump with z of shape (m,) gives
+    the (m, 2N, 2N) propagators of a z sweep. Each propagator is
+    bit-equal to propagator_exact of its own pump and distance.
     """
     amp, ph = _pump_arrays(amplitudes, phases)
     return _propagate(cfg, amp, ph, z)
 
 
 def _propagate(
-    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float
+    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float | np.ndarray
 ) -> np.ndarray:
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
-    return mat_exp(_generators(cfg, amplitudes, phases) * z)
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError(f"z must be nonnegative, got {z.min()}")
+    return mat_exp(_generators(cfg, amplitudes, phases) * z[..., None, None])
 
 
 def propagator_exact(cfg: ArrayConfig, pump: PumpProfile, z: float) -> GaussianState:

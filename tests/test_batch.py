@@ -73,7 +73,8 @@ def test_single_vector_gives_scalar():
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6))
 def test_stacked_propagators_bit_equal(seed, m, n):
-    """Each propagator of a (m, 2, ...) stack is propagator_exact's, bit for bit."""
+    """Each propagator of a (m, 2, ...) pump stack, and of one pump over an
+    array of z, is propagator_exact's, bit for bit."""
     rng = np.random.default_rng(seed)
     cfg = ArrayConfig(n=n, coupling=rng.uniform(0.0, 0.5), length=10.0)
     z = rng.uniform(0.0, 10.0)
@@ -84,6 +85,13 @@ def test_stacked_propagators_bit_equal(seed, m, n):
     for k in range(2 * m):
         single = propagator_exact(cfg, PumpProfile(amp[k], phases[k]), z).propagator
         assert np.array_equal(flat[k], single)
+    # one pump over an array of distances, as a z sweep evaluates it
+    zs = np.append(rng.uniform(0.0, 10.0, m), 0.0)
+    sweep = propagators(cfg, amp[0], phases[0], zs)
+    assert sweep.shape == (m + 1, 2 * n, 2 * n)
+    for k, zk in enumerate(zs):
+        single = propagator_exact(cfg, PumpProfile(amp[0], phases[0]), zk).propagator
+        assert np.array_equal(sweep[k], single)
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,7 +1,6 @@
 """Tests for the command-line runners and their result records."""
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
@@ -9,14 +8,18 @@ from scipy.optimize import OptimizeResult
 
 import anwsim.optimize
 from anwsim import (
+    GaussianState,
     PumpProfile,
+    bloch_messiah,
     linear_supermodes,
     min_variance,
     optimize_vlf,
     propagator_exact,
+    squeezing_db,
     symplectic_error,
+    vlf_values,
 )
-from anwsim.cli import _worker_count, run
+from anwsim.cli import run
 
 ARRAY = {"n": 5, "coupling": 0.24, "length": 30.0}
 LINEAR_PUMP = {
@@ -169,7 +172,7 @@ class TestPropagate:
         assert "sweep variable must be 'z'" in capsys.readouterr().err
 
     def test_parallel_matches_serial(self, tmp_path):
-        """A process pool reproduces the serial table bit for bit."""
+        """--parallel still parses and leaves the table unchanged, bit for bit."""
         data = {
             "array": ARRAY,
             "pump": LINEAR_PUMP,
@@ -186,16 +189,67 @@ class TestPropagate:
         )
         assert (out_a / "propagate.csv").read_text() == (out_b / "propagate.csv").read_text()
 
-    def test_worker_count_clamped(self):
-        """The pool never exceeds the task count or the CPU count."""
-        cpus = os.cpu_count() or 1
-        assert _worker_count(1, 10) == 1
-        assert _worker_count(0, 10) == 1
-        assert _worker_count(-3, 10) == 1
-        assert _worker_count(8, 1) == 1
-        assert _worker_count(8, 0) == 1
-        assert _worker_count(10**6, 10**6) == cpus
-        assert _worker_count(2, 10) == min(2, cpus)
+    def test_stacked_rows_equal_per_row_reference(self, tmp_path, cfg5):
+        """propagate and vlf sweep rows equal a per-row library loop, bit for bit."""
+        pump = {
+            "amplitudes": [0.05, 0.08, 0.02, 0.07, 0.04],
+            "phases_pi": [0.1, -0.3, 0.8, 0.4, -0.9],
+        }
+        lo_pi = [0.3, -0.2, 0.0, 0.7, -0.5]
+        gains = [0.0, 0.4, -0.6, 0.2, 0.0]
+        profile = PumpProfile(np.array(pump["amplitudes"]), np.pi * np.array(pump["phases_pi"]))
+        theta = np.pi * np.array(lo_pi)
+        t = linear_supermodes(cfg5).to_supermode_basis()
+        zs = [0.0, 3.0, 11.5, 22.0, 30.0]
+        etas = [0.0, 0.01, 0.03, 0.06]
+
+        def propagate_row(z):
+            state = propagator_exact(cfg5, profile, z)
+            sm = GaussianState(z, t @ state.propagator, t @ state.covariance @ t.T)
+            row = [z]
+            for s in (state, sm):
+                for i in range(1, 6):
+                    v = min_variance(s, i)[0]
+                    row += [v, squeezing_db(v)]
+            for r in bloch_messiah(state.propagator).gains:
+                v = float(np.exp(-2.0 * r))
+                row += [v, squeezing_db(v)]
+            return row
+
+        def vlf_row(x, state):
+            rho = vlf_values(state, theta, np.array(gains))
+            return [x] + rho.tolist() + [float(np.sum(rho))]
+
+        measurement = {"lo_phases_pi": lo_pi, "gains": gains}
+        cases = {
+            "propagate": (
+                "propagate",
+                {"pump": pump, "sweep": {"variable": "z", "values": zs}},
+                [propagate_row(z) for z in zs],
+            ),
+            "vlf_z": (
+                "vlf",
+                {"pump": pump, "measurement": measurement,
+                 "sweep": {"variable": "z", "values": zs}},
+                [vlf_row(z, propagator_exact(cfg5, profile, z)) for z in zs],
+            ),
+            "vlf_eta": (
+                "vlf",
+                {"pump": pump, "measurement": measurement,
+                 "sweep": {"variable": "eta", "values": etas}},
+                [
+                    vlf_row(eta, propagator_exact(
+                        cfg5, PumpProfile(np.full(5, eta), profile.phases), 30.0
+                    ))
+                    for eta in etas
+                ],
+            ),
+        }
+        for name, (command, extra, reference) in cases.items():
+            cfg_path = write_config(tmp_path, {"array": ARRAY, **extra}, name=f"{name}.json")
+            out = tmp_path / name
+            assert run([command, "--config", cfg_path, "--out", str(out)]) == 0
+            assert read_record(out, command)["results"]["rows"] == reference, name
 
 
 class TestVlf:
@@ -477,6 +531,18 @@ class TestVerify:
         assert run(["verify", "--config", cfg_path, "--out", str(out)]) == 2
         assert "certified=False" in capsys.readouterr().out
 
+    def test_lost_symplecticity_exits_one(self, tmp_path, capsys):
+        """A propagator whose roundoff broke symplecticity is refused, not reported."""
+        data = {
+            **LINEAR_VERIFY,
+            "pump": {"amplitudes": [0.4] * 5, "phases_pi": [-0.5] * 5},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "anwsim: error: matrix is not symplectic: deviation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_section_exits_one(self, tmp_path, capsys):
         """Verify needs pump, measurement and graph blocks."""
         data = {"array": ARRAY, "pump": LINEAR_PUMP}
@@ -606,8 +672,80 @@ class TestStrictConfig:
                 {"array": {**ARRAY, "coupling": float("nan")}},
                 "array.coupling: expected a finite number",
             ),
+            (
+                "cluster",
+                {**LINEAR_VERIFY, "optimizer": {"fitness": "FC", "generations": 0, "population": 0}},
+                "optimizer.population: must be >= parents (5), got 0",
+            ),
+            (
+                "cluster",
+                {**LINEAR_VERIFY, "optimizer": {"fitness": "FC", "generations": 0, "parents": 0}},
+                "optimizer.parents: must be >= 1, got 0",
+            ),
+            (
+                "cluster",
+                {**LINEAR_VERIFY, "optimizer": {"fitness": "FC", "generations": -1}},
+                "optimizer.generations: must be >= 0, got -1",
+            ),
+            (
+                "vlf",
+                {
+                    "array": ARRAY,
+                    "pump": {"amplitudes": [0.015] * 5},
+                    "optimizer": {"fitness": "FM", "generations": 3, "sigma0": 0.0},
+                },
+                "optimizer.sigma0: must be positive, got 0.0",
+            ),
+            (
+                "cluster",
+                {**LINEAR_VERIFY, "optimizer": {"fitness": "FC", "generations": 2, "eta_max": -0.1}},
+                "optimizer.eta_max: must be positive, got -0.1",
+            ),
+            (
+                "verify",
+                {
+                    "array": {**ARRAY, "n": 4},
+                    "pump": {"amplitudes": [0.09] * 4, "phases_pi": [-0.5] * 4},
+                    "measurement": {"lo_phases_pi": [0.0] * 4},
+                    "graph": {"preset": "linear"},
+                },
+                "graph.preset 'linear' has 5 nodes but array.n is 4",
+            ),
+            (
+                "verify",
+                {
+                    "array": {**ARRAY, "n": 6},
+                    "pump": {"amplitudes": [0.09] * 6, "phases_pi": [-0.5] * 6},
+                    "measurement": {"lo_phases_pi": [0.0] * 6},
+                    "graph": {"preset": "linear"},
+                },
+                "graph.preset 'linear' has 5 nodes but array.n is 6",
+            ),
+            (
+                "vlf",
+                {
+                    "array": ARRAY,
+                    "pump": {"amplitudes": [0.015] * 5},
+                    "measurement": {"lo_phases_pi": [0.0] * 5, "gains": [0.5] * 3},
+                },
+                "measurement: gains count does not match array.n",
+            ),
         ],
-        ids=["inf-length", "fractional-n", "nan-lo-phase", "string-flag", "nan-coupling"],
+        ids=[
+            "inf-length",
+            "fractional-n",
+            "nan-lo-phase",
+            "string-flag",
+            "nan-coupling",
+            "zero-population",
+            "zero-parents",
+            "negative-generations",
+            "zero-sigma0",
+            "negative-eta-max",
+            "preset-on-n4",
+            "preset-on-n6",
+            "short-gains",
+        ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, command, data, message):
         cfg_path = write_config(tmp_path, data)
@@ -624,6 +762,15 @@ class TestDriver:
         """Nonexistent scenario files exit 1 with a message."""
         assert run(["supermodes", "--config", str(tmp_path / "nope.json")]) == 1
         assert "cannot read config file" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        """An output directory that cannot be made exits 1 with a message."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_path = write_config(tmp_path, {"array": ARRAY})
+        out = blocker / "out"
+        assert run(["supermodes", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "anwsim: error:" in capsys.readouterr().err
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         """Schema violations exit 1."""
