@@ -26,7 +26,7 @@ import scipy
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config
 from .entanglement import CertificationReport, certify, vlf_values_batch
-from .measurement import min_variance, squeezing_db
+from .measurement import min_variances, squeezing_db
 from .model import (
     ArrayConfig,
     GaussianState,
@@ -94,17 +94,16 @@ def _state_summary(state: GaussianState) -> dict:
     high gain), so no record reports numbers taken from it.
     """
     require_symplectic(state.propagator)
-    n = state.n
-    cfg_modes = [min_variance(state, i)[0] for i in range(1, n + 1)]
+    mode_vars = min_variances(state.covariance)[0]
     bm = bloch_messiah(state.propagator)
     nsm_vars = np.exp(-2.0 * bm.gains)
     return {
         "covariance": _round_trip(state.covariance),
-        "mode_min_variance": _round_trip(cfg_modes),
-        "mode_min_variance_db": _round_trip([squeezing_db(v) for v in cfg_modes]),
+        "mode_min_variance": _round_trip(mode_vars),
+        "mode_min_variance_db": _round_trip(squeezing_db(mode_vars)),
         "supermode_gains": _round_trip(bm.gains),
         "supermode_min_variance": _round_trip(nsm_vars),
-        "supermode_min_variance_db": _round_trip([squeezing_db(v) for v in nsm_vars]),
+        "supermode_min_variance_db": _round_trip(squeezing_db(nsm_vars)),
         "mean_photon_number": float(state.mean_photon_number),
     }
 
@@ -174,34 +173,27 @@ def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     t = linear_supermodes(cfg).to_supermode_basis()
     require_symplectic(t)
     s = propagators(cfg, pump.amplitudes, pump.phases, grid)
+    require_symplectic(s)
     cov = _covariances(s)
-    s_sm, cov_sm = t @ s, t @ cov @ t.T
-    n = cfg.n
-    rows = []
-    for k, z in enumerate(grid.tolist()):
-        row = [z]
-        for state in (
-            GaussianState(z, s[k], cov[k]),
-            GaussianState(z, s_sm[k], cov_sm[k], "linear_supermode"),
-        ):
-            for i in range(1, n + 1):
-                var = min_variance(state, i)[0]
-                row += [var, squeezing_db(var)]
-        for r in bloch_messiah(s[k]).gains:
-            var = float(np.exp(-2.0 * r))
-            row += [var, squeezing_db(var)]
-        rows.append(row)
-    header = ["z_mm"]
-    for tag in ("mode", "sm", "nsm"):
-        for i in range(1, n + 1):
-            header += [f"{tag}{i}_var", f"{tag}{i}_db"]
+    sm_var = min_variances(t @ cov @ t.T)[0]
+    nsm_var = np.exp(-2.0 * np.array([bloch_messiah(s_k).gains for s_k in s]))
+    var = np.concatenate([min_variances(cov)[0], sm_var, nsm_var], axis=1)
+    # columns alternate variance and dB, mode by mode
+    table = np.stack([var, squeezing_db(var)], axis=-1).reshape(len(grid), -1)
+    rows = np.column_stack([grid, table]).tolist()
+    header = ["z_mm"] + [
+        f"{tag}{i}_{col}"
+        for tag in ("mode", "sm", "nsm")
+        for i in range(1, cfg.n + 1)
+        for col in ("var", "db")
+    ]
     record = ResultRecord(
         command="propagate",
         config=scn.to_dict(),
         seed=seed,
         results={"header": header, "rows": rows},
     )
-    best = min(min(r[1 + 2 * n : 1 + 4 * n : 2]) for r in rows)
+    best = float(sm_var.min())
     return RunOutput(
         record,
         f"{len(rows)} z points, best supermode variance {best:.4f} "
@@ -259,6 +251,7 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
             amps = np.repeat(np.asarray(grid)[:, None], n, axis=1)
             phases = np.broadcast_to(pump.phases, amps.shape)
             s = propagators(cfg, amps, phases, cfg.length)
+        require_symplectic(s)
         theta = scn.measurement.lo_phases()
         gains = scn.measurement.gain_vector(n)
         rows_rho = vlf_values_batch(_covariances(s), theta, gains)
@@ -303,6 +296,7 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     if opt.fitness == "FM":
         raise ConfigError("cluster: optimizer.fitness must be 'FC' or 'FP'")
 
+    search, tail = None, {}
     if opt.generations == 0:
         # forward evaluation at the configured pump and detection setting
         scn.require("pump", "measurement")
@@ -310,95 +304,83 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         theta = scn.measurement.lo_phases()
         state = propagator_exact(cfg, pump, cfg.length)
         report = certify(state, graph, theta)
-        results = {
-            "mode": "forward",
-            "fitness": opt.fitness,
-            "pump_amplitudes": _round_trip(pump.amplitudes),
-            "pump_phases_pi": _round_trip(np.asarray(pump.phases) / np.pi),
-            "lo_phases_pi": _round_trip(theta / np.pi),
-            "report": _report_dict(report),
-            "state": _state_summary(state),
-            "trace": [],
-        }
-        record = ResultRecord("cluster", scn.to_dict(), eff_seed, results)
+        fields = {"lo_phases_pi": _round_trip(theta / np.pi), "report": _report_dict(report)}
         s = float(report.nullifier_variances.sum())
-        return RunOutput(
-            record,
+        summary = (
             f"{graph.name}: forward evaluation, sum of nullifier variances "
-            f"{s:.4f}, certified={report.passed}",
+            f"{s:.4f}, certified={report.passed}"
         )
+    else:
+        if opt.fitness == "FC":
+            syn = synthesize_cluster(
+                cfg,
+                cfg.length,
+                graph,
+                seed=eff_seed,
+                restarts=opt.restarts if opt.restarts is not None else 5,
+                generations=opt.generations,
+                parents=opt.parents,
+                population=opt.population,
+                eta_max=opt.eta_max,
+                target=opt.target,
+            )
+            fields = {
+                "lo_phases_pi": _round_trip(syn.lo_phases / np.pi),
+                "report": _report_dict(syn.report),
+            }
+            tail = {"restarts_used": int(syn.restarts_used)}
+            summary = (
+                f"{graph.name}: F_C synthesis, sum of nullifier variances "
+                f"{syn.total_variance:.4f}, certified={syn.report.passed}"
+            )
+        else:
+            syn = synthesize_emulation(
+                cfg,
+                cfg.length,
+                graph,
+                seed=eff_seed,
+                restarts=opt.restarts if opt.restarts is not None else 6,
+                generations=opt.generations,
+                eta_max=opt.eta_max,
+                target=opt.target,
+                population=opt.population,
+                parents=opt.parents,
+            )
+            fields = {
+                "mixing_euler_pi": _round_trip(syn.mixing_euler / np.pi),
+                "lo_phases_pi": _round_trip(syn.lo_phases / np.pi),
+                "post_euler_pi": _round_trip(syn.post_euler / np.pi),
+                "emulation_error": float(syn.fp),
+                "nullifier_variances": _round_trip(syn.nullifier_variances),
+            }
+            s = float(syn.nullifier_variances.sum())
+            summary = (
+                f"{graph.name}: F_P synthesis, emulation error {syn.fp:.3e}, "
+                f"sum of cluster-basis variances {s:.4f}"
+            )
+        pump, search = syn.pump, syn.optimization
+        state = propagator_exact(cfg, pump, cfg.length)
 
-    if opt.fitness == "FC":
-        syn = synthesize_cluster(
-            cfg,
-            cfg.length,
-            graph,
-            seed=eff_seed,
-            restarts=opt.restarts if opt.restarts is not None else 5,
-            generations=opt.generations,
-            parents=opt.parents,
-            population=opt.population,
-            eta_max=opt.eta_max,
-            target=opt.target,
-        )
-        state = propagator_exact(cfg, syn.pump, cfg.length)
-        results = {
-            "mode": "synthesis",
-            "fitness": "FC",
-            "pump_amplitudes": _round_trip(syn.pump.amplitudes),
-            "pump_phases_pi": _round_trip(np.asarray(syn.pump.phases) / np.pi),
-            "lo_phases_pi": _round_trip(syn.lo_phases / np.pi),
-            "report": _report_dict(syn.report),
-            "state": _state_summary(state),
-            "best_fitness": float(syn.optimization.fitness),
-            "trace": _round_trip(syn.optimization.trace),
-            "evaluations": int(syn.optimization.evaluations),
-            "generations": int(syn.optimization.generations),
-            "restarts_used": int(syn.restarts_used),
-        }
-        record = ResultRecord("cluster", scn.to_dict(), eff_seed, results)
-        return RunOutput(
-            record,
-            f"{graph.name}: F_C synthesis, sum of nullifier variances "
-            f"{syn.total_variance:.4f}, certified={syn.report.passed}",
-        )
-
-    syn = synthesize_emulation(
-        cfg,
-        cfg.length,
-        graph,
-        seed=eff_seed,
-        restarts=opt.restarts if opt.restarts is not None else 6,
-        generations=opt.generations,
-        eta_max=opt.eta_max,
-        target=opt.target,
-        population=opt.population,
-        parents=opt.parents,
-    )
-    state = propagator_exact(cfg, syn.pump, cfg.length)
     results = {
-        "mode": "synthesis",
-        "fitness": "FP",
-        "pump_amplitudes": _round_trip(syn.pump.amplitudes),
-        "pump_phases_pi": _round_trip(np.asarray(syn.pump.phases) / np.pi),
-        "mixing_euler_pi": _round_trip(syn.mixing_euler / np.pi),
-        "lo_phases_pi": _round_trip(syn.lo_phases / np.pi),
-        "post_euler_pi": _round_trip(syn.post_euler / np.pi),
-        "emulation_error": float(syn.fp),
-        "nullifier_variances": _round_trip(syn.nullifier_variances),
+        "mode": "forward" if search is None else "synthesis",
+        "fitness": opt.fitness,
+        "pump_amplitudes": _round_trip(pump.amplitudes),
+        "pump_phases_pi": _round_trip(np.asarray(pump.phases) / np.pi),
+        **fields,
         "state": _state_summary(state),
-        "best_fitness": float(syn.optimization.fitness),
-        "trace": _round_trip(syn.optimization.trace),
-        "evaluations": int(syn.optimization.evaluations),
-        "generations": int(syn.optimization.generations),
     }
+    if search is None:
+        results["trace"] = []
+    else:
+        results.update(
+            best_fitness=float(search.fitness),
+            trace=_round_trip(search.trace),
+            evaluations=int(search.evaluations),
+            generations=int(search.generations),
+        )
+    results.update(tail)
     record = ResultRecord("cluster", scn.to_dict(), eff_seed, results)
-    s = float(syn.nullifier_variances.sum())
-    return RunOutput(
-        record,
-        f"{graph.name}: F_P synthesis, emulation error {syn.fp:.3e}, "
-        f"sum of cluster-basis variances {s:.4f}",
-    )
+    return RunOutput(record, summary)
 
 
 # ---------------------------------------------------------------------------

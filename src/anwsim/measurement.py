@@ -21,6 +21,7 @@ __all__ = [
     "change_basis",
     "variance_at",
     "min_variance",
+    "min_variances",
     "max_variance",
     "combination_variance",
     "quadrature_variances",
@@ -67,47 +68,58 @@ def change_basis(state: GaussianState, t: np.ndarray, basis: str) -> GaussianSta
     )
 
 
-def _mode_slice(state: GaussianState, i: int) -> tuple[int, int]:
+def _mode_index(state: GaussianState, i: int) -> int:
     n = state.n
     if not 1 <= i <= n:
         raise IndexError(f"mode index {i} out of range 1..{n}")
-    return i - 1, n + i - 1
+    return i - 1
 
 
 def variance_at(state: GaussianState, i: int, theta: float) -> float:
     """Variance of the rotated quadrature x_i(theta)."""
-    ix, iy = _mode_slice(state, i)
-    v = state.covariance
-    c, s = np.cos(theta), np.sin(theta)
-    return float(c * c * v[ix, ix] + 2 * c * s * v[ix, iy] + s * s * v[iy, iy])
+    k = _mode_index(state, i)
+    row, angles = np.zeros(2 * state.n), np.zeros(state.n)
+    row[k], angles[k] = 1.0, theta
+    return float(quadrature_variances(state.covariance, row[None, :], angles)[0])
 
 
-def _extremal(state: GaussianState, i: int, sign: float) -> tuple[float, float]:
-    ix, iy = _mode_slice(state, i)
-    v = state.covariance
-    a, b, d = v[ix, ix], v[ix, iy], v[iy, iy]
+def _extremal(covariance: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode minimum (sign -1) or maximum (+1) of min_variances' shape."""
+    v = np.asarray(covariance, dtype=float)
+    n = v.shape[-1] // 2
+    diag = np.diagonal(v, axis1=-2, axis2=-1)
+    a, d = diag[..., :n], diag[..., n:]
+    b = np.diagonal(v[..., :n, n:], axis1=-2, axis2=-1)
     mean, half = 0.5 * (a + d), 0.5 * (a - d)
     radius = np.hypot(half, b)
-    if radius < 1e-15 * max(1.0, mean):
-        return float(mean), 0.0
     # variance(theta) = mean + half cos(2 theta) + b sin(2 theta)
     theta = 0.5 * np.arctan2(sign * b, sign * half)
-    if theta <= -np.pi / 2:  # keep the half-open range (-pi/2, pi/2]
-        theta += np.pi
-    return float(mean + sign * radius), float(theta)
+    theta = np.where(theta <= -np.pi / 2, theta + np.pi, theta)
+    isotropic = radius < 1e-15 * np.maximum(1.0, mean)
+    return np.where(isotropic, mean, mean + sign * radius), np.where(isotropic, 0.0, theta)
+
+
+def min_variances(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest quadrature variance of every mode and its angle.
+
+    ``covariance`` is (..., 2N, 2N) and both results are (..., N), mode i
+    at index i - 1. Angles lie in (-pi/2, pi/2]; an isotropic mode ties to 0.
+    """
+    return _extremal(covariance, -1.0)
 
 
 def min_variance(state: GaussianState, i: int) -> tuple[float, float]:
-    """Smallest quadrature variance of mode i and its angle.
-
-    The angle is reported in (-pi/2, pi/2]; an isotropic mode ties to 0.
-    """
-    return _extremal(state, i, -1.0)
+    """Smallest quadrature variance of mode i and its angle (see min_variances)."""
+    k = _mode_index(state, i)
+    var, theta = _extremal(state.covariance, -1.0)
+    return float(var[k]), float(theta[k])
 
 
 def max_variance(state: GaussianState, i: int) -> tuple[float, float]:
     """Largest quadrature variance of mode i and its angle (antisqueezing)."""
-    return _extremal(state, i, 1.0)
+    k = _mode_index(state, i)
+    var, theta = _extremal(state.covariance, 1.0)
+    return float(var[k]), float(theta[k])
 
 
 def quadrature_variances(
@@ -145,8 +157,14 @@ def combination_variance(state: GaussianState, combo: QuadratureCombination) -> 
     )
 
 
-def squeezing_db(variance: float) -> float:
-    """Variance in decibels relative to shot noise (negative = squeezed)."""
-    if not variance > 0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    return float(10.0 * np.log10(variance))
+def squeezing_db(variance: float | np.ndarray) -> float | np.ndarray:
+    """Variance in decibels relative to shot noise (negative = squeezed).
+
+    Works elementwise; a scalar gives a float. Every entry must be positive.
+    """
+    v = np.asarray(variance, dtype=float)
+    bad = ~(v > 0)
+    if np.any(bad):
+        raise ValueError(f"variance must be positive, got {v[bad][0]}")
+    db = 10.0 * np.log10(v)
+    return float(db) if db.ndim == 0 else db

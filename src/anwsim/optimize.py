@@ -60,6 +60,9 @@ __all__ = [
 
 ETA_MAX = 0.1  # pump amplitude search ceiling, mm^-1
 GAIN_LIMIT = 10.0  # postprocessing gain search range
+# polar sweeps of the nearest-phase-rotation solve: cap and stopping gain
+_POLAR_SWEEPS = 200
+_POLAR_TOL = 1e-14
 
 _KINDS = ("amplitude", "angle", "gain", "free")
 
@@ -70,7 +73,6 @@ class ParameterSpace:
 
     kinds: tuple[str, ...]
     eta_max: float = ETA_MAX
-    gain_limit: float = GAIN_LIMIT
 
     def __post_init__(self):
         bad = set(self.kinds) - set(_KINDS)
@@ -85,7 +87,7 @@ class ParameterSpace:
     def lower(self) -> np.ndarray:
         return np.array(
             [
-                0.0 if k == "amplitude" else -self.gain_limit if k == "gain" else -np.inf
+                0.0 if k == "amplitude" else -GAIN_LIMIT if k == "gain" else -np.inf
                 for k in self.kinds
             ]
         )
@@ -94,7 +96,7 @@ class ParameterSpace:
     def upper(self) -> np.ndarray:
         return np.array(
             [
-                self.eta_max if k == "amplitude" else self.gain_limit if k == "gain" else np.inf
+                self.eta_max if k == "amplitude" else GAIN_LIMIT if k == "gain" else np.inf
                 for k in self.kinds
             ]
         )
@@ -582,41 +584,17 @@ def synthesize_cluster(
     optima, so the first restart is seeded from a coarse flat-pump grid
     scan with a tight step size, and later restarts draw random starting
     points with a wide angular step. Stops as soon as the target total
-    variance is reached. The GHZ preset is synthesized through its star
+    variance is reached. The GHZ preset is searched as its star
     equivalent and returned with the LO phases rotated by pi/2 on every
     mode but the center.
     """
-    if graph.name == "ghz":
-        star = synthesize_cluster(
-            cfg,
-            z,
-            GraphSpec(graph.adjacency, name="star", labeling=graph.labeling),
-            seed=seed,
-            restarts=restarts,
-            generations=generations,
-            parents=parents,
-            population=population,
-            eta_max=eta_max,
-            target=target,
-        )
-        theta = _wrap_angle(
-            star.lo_phases + np.where(np.arange(cfg.n) == 2, 0.0, np.pi / 2.0)
-        )
-        state = propagator_exact(cfg, star.pump, z)
-        return ClusterSynthesis(
-            graph="ghz",
-            optimization=star.optimization,
-            pump=star.pump,
-            lo_phases=theta,
-            report=certify(state, graph, theta),
-            restarts_used=star.restarts_used,
-        )
-
     n = cfg.n
     es = ESConfig(
         population=population, parents=parents, max_generations=generations, target=target
     )
-    problem = cluster_problem(cfg, z, graph, eta_max=eta_max)
+    ghz = graph.name == "ghz"
+    spec = GraphSpec(graph.adjacency, name="star", labeling=graph.labeling) if ghz else graph
+    problem = cluster_problem(cfg, z, spec, eta_max=eta_max)
     rng = np.random.default_rng(seed)
 
     def start(r: int):
@@ -640,6 +618,8 @@ def synthesize_cluster(
     )
     pump = PumpProfile(best.parameters[:n], best.parameters[n : 2 * n])
     theta = best.parameters[2 * n :]
+    if ghz:
+        theta = _wrap_angle(theta + np.where(np.arange(n) == 2, 0.0, np.pi / 2.0))
     state = propagator_exact(cfg, pump, z)
     return ClusterSynthesis(
         graph=graph.name,
@@ -691,9 +671,7 @@ def _polar_so(a: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _nearest_phase_rotation(
-    w: np.ndarray, max_sweeps: int = 200, tol: float = 1e-14
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Closest P diag(exp(-i theta)) to a unitary W, with P special orthogonal.
 
     Seeded from the joint eigenbasis of the commuting real and imaginary
@@ -719,11 +697,11 @@ def _nearest_phase_rotation(
     theta = -np.angle(np.diag(p.T @ w))
     prev = np.inf
     dist = prev
-    for _ in range(max_sweeps):
+    for _ in range(_POLAR_SWEEPS):
         p = _polar_so((w * np.exp(1j * theta)[None, :]).real)
         theta = -np.angle(np.diag(p.T @ w))
         dist = float(np.linalg.norm(w - p * np.exp(-1j * theta)[None, :]))
-        if prev - dist < tol:
+        if prev - dist < _POLAR_TOL:
             break
         prev = dist
     return p, theta, dist

@@ -41,14 +41,15 @@ def omega(n: int) -> np.ndarray:
 
 
 def symplectic_error(s: np.ndarray) -> float:
-    """Max-abs deviation of S Omega S^T from Omega."""
-    n = s.shape[0] // 2
+    """Max-abs deviation of S Omega S^T from Omega, worst over a (..., 2N, 2N) stack."""
+    n = s.shape[-1] // 2
     om = omega(n)
-    return float(np.abs(s @ om @ s.T - om).max())
+    return float(np.abs(s @ om @ np.swapaxes(s, -1, -2) - om).max())
 
 
 def require_symplectic(s: np.ndarray, tol: float = SYMPLECTIC_TOL) -> None:
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
+    """Refuse a matrix, or a stack of them, whose worst defect exceeds tol."""
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] % 2:
         raise ValueError(f"expected an even square matrix, got shape {s.shape}")
     err = symplectic_error(s)
     if err > tol:

@@ -531,15 +531,20 @@ class TestVerify:
         assert run(["verify", "--config", cfg_path, "--out", str(out)]) == 2
         assert "certified=False" in capsys.readouterr().out
 
-    def test_lost_symplecticity_exits_one(self, tmp_path, capsys):
-        """A propagator whose roundoff broke symplecticity is refused, not reported."""
+    @pytest.mark.parametrize("command", ["verify", "propagate", "vlf"])
+    def test_lost_symplecticity_exits_one(self, tmp_path, capsys, command):
+        """A propagator whose roundoff broke symplecticity is refused, not reported.
+
+        The sweeps check their whole propagator stack; the default grids of
+        propagate and vlf reach the device length, where the defect is largest.
+        """
         data = {
             **LINEAR_VERIFY,
             "pump": {"amplitudes": [0.4] * 5, "phases_pi": [-0.5] * 5},
         }
         cfg_path = write_config(tmp_path, data)
         out = tmp_path / "out"
-        assert run(["verify", "--config", cfg_path, "--out", str(out)]) == 1
+        assert run([command, "--config", cfg_path, "--out", str(out)]) == 1
         assert "anwsim: error: matrix is not symplectic: deviation" in capsys.readouterr().err
         assert not out.exists()
 

@@ -80,7 +80,7 @@ class TestParameterSpace:
         assert ParameterSpace(kinds=("angle",) * 7).dimension == 7
 
     def test_bounds_by_kind(self):
-        """Amplitudes live in [0, eta_max], gains in +/- gain_limit."""
+        """Amplitudes live in [0, eta_max], gains in +/- GAIN_LIMIT."""
         space = ParameterSpace(kinds=("amplitude", "angle", "gain", "free"))
         assert np.allclose(space.lower, [0.0, -np.inf, -GAIN_LIMIT, -np.inf])
         assert np.allclose(space.upper, [ETA_MAX, np.inf, GAIN_LIMIT, np.inf])
