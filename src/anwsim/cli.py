@@ -39,7 +39,7 @@ from .model import (
     rk4_propagate,
 )
 from .optimize import optimize_vlf, synthesize_cluster, synthesize_emulation
-from .symplectic import bloch_messiah, require_symplectic, symplectic_error
+from .symplectic import _passive_out, require_symplectic, symplectic_error
 
 __all__ = ["main", "run", "ResultRecord"]
 
@@ -95,13 +95,13 @@ def _state_summary(state: GaussianState) -> dict:
     """
     require_symplectic(state.propagator)
     mode_vars = min_variances(state.covariance)[0]
-    bm = bloch_messiah(state.propagator)
-    nsm_vars = np.exp(-2.0 * bm.gains)
+    gains = _passive_out(state.propagator)[0]
+    nsm_vars = np.exp(-2.0 * gains)
     return {
         "covariance": _round_trip(state.covariance),
         "mode_min_variance": _round_trip(mode_vars),
         "mode_min_variance_db": _round_trip(squeezing_db(mode_vars)),
-        "supermode_gains": _round_trip(bm.gains),
+        "supermode_gains": _round_trip(gains),
         "supermode_min_variance": _round_trip(nsm_vars),
         "supermode_min_variance_db": _round_trip(squeezing_db(nsm_vars)),
         "mean_photon_number": float(state.mean_photon_number),
@@ -176,7 +176,7 @@ def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     require_symplectic(s)
     cov = _covariances(s)
     sm_var = min_variances(t @ cov @ t.T)[0]
-    nsm_var = np.exp(-2.0 * np.array([bloch_messiah(s_k).gains for s_k in s]))
+    nsm_var = np.exp(-2.0 * _passive_out(s)[0])
     var = np.concatenate([min_variances(cov)[0], sm_var, nsm_var], axis=1)
     # columns alternate variance and dB, mode by mode
     table = np.stack([var, squeezing_db(var)], axis=-1).reshape(len(grid), -1)

@@ -31,7 +31,6 @@ __all__ = [
     "graph_preset",
     "CertificationReport",
     "ClusterTransform",
-    "vlf_rho",
     "vlf_rows",
     "vlf_values",
     "vlf_values_batch",
@@ -39,7 +38,6 @@ __all__ = [
     "nullifiers_for",
     "certify",
     "cluster_transform",
-    "s_lo",
     "emulation_error",
     "cluster_nullifier_variances",
 ]
@@ -217,20 +215,6 @@ def vlf_values(
     return vlf_values_batch(state.covariance, theta, g)
 
 
-def vlf_rho(
-    state: GaussianState, lo_phases: np.ndarray, gains: np.ndarray, i: int
-) -> float:
-    """The i-th van Loock-Furusawa combination (separable states give >= 4).
-
-    rho_i = V[x_i(t_i) - x_{i+1}(t_{i+1})]
-          + V[y_i(t_i) + y_{i+1}(t_{i+1}) + sum_{i' != i,i+1} G_i' y_i'(t_i')]
-    with 1-based i up to N-1.
-    """
-    if not 1 <= i <= state.n - 1:
-        raise IndexError(f"pair index {i} out of range 1..{state.n - 1}")
-    return float(vlf_values(state, lo_phases, gains)[i - 1])
-
-
 @dataclass(frozen=True)
 class CertificationReport:
     """Outcome of a graph-state certification measurement."""
@@ -322,21 +306,6 @@ def cluster_transform(graph: GraphSpec) -> ClusterTransform:
     return ClusterTransform(x_block=xs, y_block=j @ xs)
 
 
-def s_lo(graph: GraphSpec, state: GaussianState, euler: np.ndarray) -> np.ndarray:
-    """LO-shaping transform S_C Obar(euler) R1^T mapping V to the cluster.
-
-    R1 is the passive output factor of the state's Bloch-Messiah
-    decomposition; the Euler angles parametrize the orthogonal freedom of
-    distributing squeezing among the cluster nodes. The result is
-    orthogonal and symplectic.
-    """
-    n = graph.n
-    o = euler_orthogonal(np.asarray(euler, dtype=float), n)
-    obar = np.block([[o, np.zeros((n, n))], [np.zeros((n, n)), o]])
-    r1 = bloch_messiah(state.propagator).passive_out
-    return cluster_transform(graph).matrix @ obar @ r1.T
-
-
 def emulation_error(
     graph: GraphSpec,
     state: GaussianState,
@@ -346,19 +315,27 @@ def emulation_error(
 ) -> float:
     """Frobenius distance between S_LO and a measurable product form.
 
-    A fibered detection system realizes Obar_post(post_euler) D_LO(theta):
-    per-mode LO phases followed by orthogonal postprocessing of the
-    photocurrents. A small value certifies that the LO-shaping transform
-    is implementable by that detection layer.
+    S_LO = S_C Obar(euler) R1^T is the orthogonal-symplectic LO-shaping
+    transform that maps the state's covariance to the cluster: R1 is the
+    passive output factor of the state's Bloch-Messiah decomposition, and
+    the Euler angles parametrize the orthogonal freedom of distributing
+    squeezing among the cluster nodes. A fibered detection system
+    realizes Obar_post(post_euler) D_LO(theta): per-mode LO phases
+    followed by orthogonal postprocessing of the photocurrents. A small
+    value certifies that S_LO is implementable by that detection layer.
     """
     n = graph.n
     theta = np.asarray(lo_phases, dtype=float)
     if theta.shape != (n,):
         raise ValueError(f"need {n} LO phases, got shape {theta.shape}")
-    o_post = euler_orthogonal(np.asarray(post_euler, dtype=float), n)
-    obar = np.block([[o_post, np.zeros((n, n))], [np.zeros((n, n)), o_post]])
-    target = s_lo(graph, state, euler)
-    return float(np.linalg.norm(target - obar @ d_lo(theta)))
+
+    def obar(angles: np.ndarray) -> np.ndarray:
+        o = euler_orthogonal(np.asarray(angles, dtype=float), n)
+        return np.block([[o, np.zeros((n, n))], [np.zeros((n, n)), o]])
+
+    r1 = bloch_messiah(state.propagator).passive_out
+    target = cluster_transform(graph).matrix @ obar(euler) @ r1.T
+    return float(np.linalg.norm(target - obar(post_euler) @ d_lo(theta)))
 
 
 def cluster_nullifier_variances(

@@ -19,10 +19,8 @@ from .symplectic import require_symplectic
 __all__ = [
     "QuadratureCombination",
     "change_basis",
-    "variance_at",
     "min_variance",
     "min_variances",
-    "max_variance",
     "combination_variance",
     "quadrature_variances",
     "squeezing_db",
@@ -75,16 +73,12 @@ def _mode_index(state: GaussianState, i: int) -> int:
     return i - 1
 
 
-def variance_at(state: GaussianState, i: int, theta: float) -> float:
-    """Variance of the rotated quadrature x_i(theta)."""
-    k = _mode_index(state, i)
-    row, angles = np.zeros(2 * state.n), np.zeros(state.n)
-    row[k], angles[k] = 1.0, theta
-    return float(quadrature_variances(state.covariance, row[None, :], angles)[0])
+def min_variances(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest quadrature variance of every mode and its angle.
 
-
-def _extremal(covariance: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode minimum (sign -1) or maximum (+1) of min_variances' shape."""
+    ``covariance`` is (..., 2N, 2N) and both results are (..., N), mode i
+    at index i - 1. Angles lie in (-pi/2, pi/2]; an isotropic mode ties to 0.
+    """
     v = np.asarray(covariance, dtype=float)
     n = v.shape[-1] // 2
     diag = np.diagonal(v, axis1=-2, axis2=-1)
@@ -93,32 +87,16 @@ def _extremal(covariance: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarr
     mean, half = 0.5 * (a + d), 0.5 * (a - d)
     radius = np.hypot(half, b)
     # variance(theta) = mean + half cos(2 theta) + b sin(2 theta)
-    theta = 0.5 * np.arctan2(sign * b, sign * half)
+    theta = 0.5 * np.arctan2(-b, -half)
     theta = np.where(theta <= -np.pi / 2, theta + np.pi, theta)
     isotropic = radius < 1e-15 * np.maximum(1.0, mean)
-    return np.where(isotropic, mean, mean + sign * radius), np.where(isotropic, 0.0, theta)
-
-
-def min_variances(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest quadrature variance of every mode and its angle.
-
-    ``covariance`` is (..., 2N, 2N) and both results are (..., N), mode i
-    at index i - 1. Angles lie in (-pi/2, pi/2]; an isotropic mode ties to 0.
-    """
-    return _extremal(covariance, -1.0)
+    return np.where(isotropic, mean, mean - radius), np.where(isotropic, 0.0, theta)
 
 
 def min_variance(state: GaussianState, i: int) -> tuple[float, float]:
     """Smallest quadrature variance of mode i and its angle (see min_variances)."""
     k = _mode_index(state, i)
-    var, theta = _extremal(state.covariance, -1.0)
-    return float(var[k]), float(theta[k])
-
-
-def max_variance(state: GaussianState, i: int) -> tuple[float, float]:
-    """Largest quadrature variance of mode i and its angle (antisqueezing)."""
-    k = _mode_index(state, i)
-    var, theta = _extremal(state.covariance, 1.0)
+    var, theta = min_variances(state.covariance)
     return float(var[k]), float(theta[k])
 
 

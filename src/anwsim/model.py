@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import (
-    bogoliubov_to_symplectic,
-    mat_exp,
-    takagi,
-)
+from .symplectic import bogoliubov_to_symplectic, mat_exp
 
 __all__ = [
     "BASES",
@@ -35,10 +31,8 @@ __all__ = [
     "quad_generator",
     "propagators",
     "propagator_exact",
-    "coupling_matrix_L",
     "integrated_L",
     "propagator_no_ordering",
-    "nonlinear_supermodes",
     "flat_pump_analytic",
     "rk4_propagate",
     "rk4_propagate_batch",
@@ -294,30 +288,15 @@ def propagator_exact(cfg: ArrayConfig, pump: PumpProfile, z: float) -> GaussianS
     return GaussianState.from_propagator(z, s, "individual")
 
 
-def coupling_matrix_L(
-    cfg: ArrayConfig, pump: PumpProfile, modes: LinearSupermodes, z: float
-) -> np.ndarray:
-    """Pump-mediated supermode coupling L(z), complex symmetric.
-
-    L_{kk'}(z) = 2i sum_j |eta_j| M_kj M_k'j exp(i(phi_j - (lambda_k +
-    lambda_k') z)). The diagonal drives single-supermode squeezing, the
-    off-diagonal two-supermode correlations.
-    """
-    _check_pump(cfg, pump)
-    if modes.n != cfg.n:
-        raise ValueError(f"supermode basis has {modes.n} modes, expected {cfg.n}")
-    m, lam = modes.matrix, modes.eigenvalues
-    coef = 2j * (m * pump.complex_amplitudes) @ m.T
-    s = lam[:, None] + lam[None, :]
-    return coef * np.exp(-1j * s * z)
-
-
 def integrated_L(
     cfg: ArrayConfig, pump: PumpProfile, modes: LinearSupermodes, z: float
 ) -> np.ndarray:
-    """Closed-form integral of coupling_matrix_L over [0, z].
+    """Closed-form integral over [0, z] of the pump-mediated supermode coupling.
 
-    Each element integrates exp(-i s z') with s = lambda_k + lambda_k';
+    The coupling L_{kk'}(z) = 2i sum_j |eta_j| M_kj M_k'j exp(i(phi_j -
+    (lambda_k + lambda_k') z)) is complex symmetric; its diagonal drives
+    single-supermode squeezing, the off-diagonal two-supermode
+    correlations. Each element integrates exp(-i s z') with s = lambda_k + lambda_k';
     elements with |s| below 1e-12 mm^-1 use the linear-in-z limit of the
     removable singularity.
     """
@@ -363,23 +342,6 @@ def propagator_no_ordering(cfg: ArrayConfig, pump: PumpProfile, z: float) -> Gau
     ph = np.exp(1j * modes.eigenvalues * z)
     s = bogoliubov_to_symplectic(ph[:, None] * eb, ph[:, None] * fb)
     return GaussianState.from_propagator(z, s, "linear_supermode")
-
-
-def nonlinear_supermodes(
-    cfg: ArrayConfig, pump: PumpProfile, z: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decoupled squeezing basis of the no-ordering solution.
-
-    Congruence-diagonalizes the integrated coupling matrix, returning the
-    complex matrix Upsilon (rows = nonlinear supermodes over the linear
-    supermodes) and the squeezing parameters r_m(z), descending. In this
-    basis each mode is an independent single-mode squeezer: the
-    rotating-frame blocks reconstruct as E = Ups^dag cosh(r) Ups and
-    F = Ups^dag sinh(r) Ups^*.
-    """
-    modes = linear_supermodes(cfg)
-    fac = takagi(integrated_L(cfg, pump, modes, z))
-    return fac.unitary, fac.values
 
 
 @dataclass(frozen=True)

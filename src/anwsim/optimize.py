@@ -35,7 +35,13 @@ from .entanglement import (
 )
 from .measurement import quadrature_variances
 from .model import ArrayConfig, GaussianState, PumpProfile, propagator_exact, propagators
-from .symplectic import bloch_messiah, euler_orthogonal, orthogonal_to_euler
+from .symplectic import (
+    _passive_out,
+    bloch_messiah,
+    euler_orthogonal,
+    orthogonal_to_euler,
+    require_symplectic,
+)
 
 __all__ = [
     "ETA_MAX",
@@ -331,19 +337,6 @@ def fitness_FP(cfg: ArrayConfig, z: float, graph: GraphSpec, params: np.ndarray)
 # problem builders
 
 
-def _rowwise(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray | float]:
-    """Lift a one-vector fitness to the (..., d) -> (...) batch contract."""
-
-    def batched(p: np.ndarray) -> np.ndarray | float:
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return fn(p)
-        flat = p.reshape(-1, p.shape[-1])
-        return np.array([fn(row) for row in flat]).reshape(p.shape[:-1])
-
-    return batched
-
-
 def vlf_problem(state: GaussianState) -> OptimizationProblem:
     """F_M over (lo_phases, gains), seeded at the untouched detection point."""
     n = state.n
@@ -476,7 +469,8 @@ def optimize_vlf(
     violation at pump powers where detection alone cannot; that
     landscape traps single runs, so the first of ``restarts`` runs
     starts at the neutral point and later ones at random settings with
-    a wider step.
+    a wider step. Raises ValueError when the best point's propagator has
+    lost symplecticity (roundoff at very high gain).
     """
     n = cfg.n
     es = ESConfig(population=population, parents=parents, max_generations=generations)
@@ -525,6 +519,8 @@ def optimize_vlf(
     if optimize_pump_phases:
         pump = phased(res.parameters)
         state = propagator_exact(cfg, pump, z)
+    # no rho is reported from a propagator that lost symplecticity
+    require_symplectic(state.propagator)
     return VLFOptimum(
         optimization=res,
         pump=pump,
@@ -663,24 +659,33 @@ class EmulationSynthesis:
 
 
 def _polar_so(a: np.ndarray) -> np.ndarray:
-    """Nearest special-orthogonal matrix in Frobenius norm."""
+    """Nearest special-orthogonal matrices in Frobenius norm, over a stack."""
     u, _, vt = np.linalg.svd(a)
-    if np.linalg.det(u @ vt) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-    return u @ vt
+    uv = u @ vt
+    flip = np.linalg.det(uv) < 0
+    if np.count_nonzero(flip):
+        u[flip, :, -1] *= -1.0
+        uv[flip] = u[flip] @ vt[flip]
+    return uv
 
 
-def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closest P diag(exp(-i theta)) to a unitary W, with P special orthogonal.
+def _frobenius(d: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (m, N, N) complex stack, each summed in the
+    order np.linalg.norm sums one matrix (a row's bits match its slice)."""
+    x = d.reshape(len(d), 1, -1)
+    xt = x.transpose(0, 2, 1)
+    return np.sqrt((x.real @ xt.real + x.imag @ xt.imag)[:, 0, 0])
 
-    Seeded from the joint eigenbasis of the commuting real and imaginary
-    parts of W W^T, then refined by alternating the closed-form optimum in
-    P (polar projection) and in theta (per-column phase match).
-    """
-    z = w @ w.T
-    x, y = z.real, z.imag
-    vals, p = np.linalg.eigh(x)
+
+def _phase_match(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Optimal theta for fixed P over a stack: minus the phases of diag(P^T W)."""
+    d = (p.transpose(0, 2, 1) @ w).diagonal(0, 1, 2)
+    return -np.arctan2(d.imag, d.real)
+
+
+def _split_ties(p: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
+    """Rotate, in place, each block of eigenvectors p of near-degenerate
+    eigenvalues (within 1e-9 of the block's first) to diagonalize y."""
     i, n = 0, len(vals)
     while i < n:
         j = i + 1
@@ -691,20 +696,50 @@ def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
             _, q = np.linalg.eigh(blk.T @ y @ blk)
             p[:, i:j] = blk @ q
         i = j
-    if np.linalg.det(p) < 0:
-        p = p.copy()
-        p[:, -1] = -p[:, -1]
-    theta = -np.angle(np.diag(p.T @ w))
-    prev = np.inf
-    dist = prev
-    for _ in range(_POLAR_SWEEPS):
-        p = _polar_so((w * np.exp(1j * theta)[None, :]).real)
-        theta = -np.angle(np.diag(p.T @ w))
-        dist = float(np.linalg.norm(w - p * np.exp(-1j * theta)[None, :]))
-        if prev - dist < _POLAR_TOL:
-            break
-        prev = dist
-    return p, theta, dist
+
+
+def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    """Closest P diag(exp(-i theta)) to a unitary W, with P special orthogonal.
+
+    Seeded from the joint eigenbasis of the commuting real and imaginary
+    parts of W W^T, then refined by alternating the closed-form optimum in
+    P (polar projection) and in theta (per-column phase match). A
+    (..., N, N) stack is solved as one: each sweep is one batched SVD over
+    the rows still improving, and every row stops on its own gain test or
+    after _POLAR_SWEEPS sweeps. Returns (P, theta, distance), stacked
+    like W; a single (N, N) matrix gives a float distance.
+    """
+    w = np.asarray(w)
+    lead = w.shape[:-2]
+    w = w.reshape((-1,) + w.shape[-2:])
+    z = w @ w.transpose(0, 2, 1)
+    vals, p = np.linalg.eigh(z.real)
+    for k in np.flatnonzero(np.any(np.diff(vals, axis=-1) < 1e-9, axis=-1)):
+        _split_ties(p[k], vals[k], z[k].imag)
+    p[np.linalg.det(p) < 0, :, -1] *= -1.0
+    theta = _phase_match(p, w)
+    # the sweeps run on the rows still improving; a row is written back
+    # when it stops, on its gain test or at the cap
+    dist = np.full(len(w), np.inf)
+    rows, wa, ta, prev = np.arange(len(w)), w, theta, dist
+    for sweep in range(_POLAR_SWEEPS):
+        pa = _polar_so((wa * np.exp(1j * ta)[:, None, :]).real)
+        ta = _phase_match(pa, wa)
+        da = _frobenius(wa - pa * np.exp(-1j * ta)[:, None, :])
+        done = (prev - da < _POLAR_TOL) | (sweep == _POLAR_SWEEPS - 1)
+        if np.count_nonzero(done):
+            k = rows[done]
+            p[k], theta[k], dist[k] = pa[done], ta[done], da[done]
+            rows, wa, ta, da = rows[~done], wa[~done], ta[~done], da[~done]
+            if not rows.size:
+                break
+        prev = da
+    dist = dist.reshape(lead)
+    return (
+        p.reshape(lead + p.shape[-2:]),
+        theta.reshape(lead + theta.shape[-1:]),
+        float(dist) if dist.ndim == 0 else dist,
+    )
 
 
 def synthesize_emulation(
@@ -736,22 +771,19 @@ def synthesize_emulation(
     na = n * (n - 1) // 2
     uc = cluster_transform(graph).unitary
 
-    def _pump(p: np.ndarray) -> PumpProfile:
+    def _pump(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # negative amplitude = positive amplitude with a pi phase shift,
         # keeping the fitness smooth for the unconstrained local polish
-        amp = p[:n]
-        phi = _wrap_angle(p[n : 2 * n] + np.where(amp < 0, np.pi, 0.0))
-        return PumpProfile(np.abs(amp), phi)
+        amp = p[..., :n]
+        return np.abs(amp), _wrap_angle(p[..., n : 2 * n] + np.where(amp < 0, np.pi, 0.0))
 
-    @_rowwise
-    def reduced(p: np.ndarray) -> float:
-        state = propagator_exact(cfg, _pump(p), z)
-        r1 = bloch_messiah(state.propagator).passive_out
-        u1 = r1[:n, :n] + 1j * r1[n:, :n]
-        o = euler_orthogonal(p[2 * n :], n)
-        w = uc @ o @ u1.conj().T
-        _, _, dist = _nearest_phase_rotation(w)
-        return float(np.sqrt(2.0) * dist)
+    def reduced(p: np.ndarray) -> np.ndarray | float:
+        p = np.asarray(p, dtype=float)
+        _, w_out = _passive_out(propagators(cfg, *_pump(p), z))
+        o = euler_orthogonal(p[..., 2 * n :], n)
+        w = uc @ o @ np.swapaxes(w_out.conj(), -1, -2)
+        dist = np.sqrt(2.0) * _nearest_phase_rotation(w)[2]
+        return float(dist) if p.ndim == 1 else dist
 
     space = ParameterSpace(
         kinds=("amplitude",) * n + ("angle",) * (n + na), eta_max=eta_max
@@ -760,7 +792,7 @@ def synthesize_emulation(
     sigma0 = np.concatenate([np.full(n, 0.02), np.full(n + na, 0.5)])
 
     def summarize(p: np.ndarray):
-        pump = _pump(p)
+        pump = PumpProfile(*_pump(p))
         state = propagator_exact(cfg, pump, z)
         bm = bloch_messiah(state.propagator)
         o = euler_orthogonal(p[2 * n :], n)

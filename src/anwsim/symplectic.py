@@ -40,20 +40,32 @@ def omega(n: int) -> np.ndarray:
     return np.block([[z, eye], [-eye, z]])
 
 
-def symplectic_error(s: np.ndarray) -> float:
-    """Max-abs deviation of S Omega S^T from Omega, worst over a (..., 2N, 2N) stack."""
+def _defects(s: np.ndarray) -> np.ndarray:
+    """Max-abs deviation of S Omega S^T from Omega, per slice of a stack."""
     n = s.shape[-1] // 2
     om = omega(n)
-    return float(np.abs(s @ om @ np.swapaxes(s, -1, -2) - om).max())
+    return np.abs(s @ om @ np.swapaxes(s, -1, -2) - om).max(axis=(-2, -1))
 
 
-def require_symplectic(s: np.ndarray, tol: float = SYMPLECTIC_TOL) -> None:
-    """Refuse a matrix, or a stack of them, whose worst defect exceeds tol."""
+def symplectic_error(s: np.ndarray) -> float:
+    """Max-abs deviation of S Omega S^T from Omega, worst over a (..., 2N, 2N) stack."""
+    return float(_defects(s).max())
+
+
+def require_symplectic(s: np.ndarray, tol: float | np.ndarray = SYMPLECTIC_TOL) -> None:
+    """Refuse a matrix, or a stack of them, with a slice whose defect exceeds tol.
+
+    ``tol`` is a scalar or an array over the stack's leading axes (one
+    tolerance per slice); the message names the worst offending slice.
+    """
     if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] % 2:
         raise ValueError(f"expected an even square matrix, got shape {s.shape}")
-    err = symplectic_error(s)
-    if err > tol:
-        raise ValueError(f"matrix is not symplectic: deviation {err:.3e} > {tol:.1e}")
+    err = _defects(s)
+    bad = err > tol
+    if bad.any():
+        k = np.unravel_index(np.argmax(np.where(bad, err, -np.inf)), err.shape)
+        limit = np.broadcast_to(tol, err.shape)[k]
+        raise ValueError(f"matrix is not symplectic: deviation {err[k]:.3e} > {limit:.1e}")
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
@@ -87,9 +99,7 @@ class TakagiFactorization:
 def takagi(w: np.ndarray, tol: float = 1e-12) -> TakagiFactorization:
     """Factor a complex symmetric matrix as U W U^T = diag(values) >= 0.
 
-    Uses the real embedding [[A, B], [B, -A]] of W = A + iB, whose
-    eigenpairs come in (sigma, -sigma) pairs; the positive half gives the
-    factor directly. Ties and the zero space are resolved deterministically.
+    The one-matrix case of the stacked factorization (see _takagi).
 
     Parameters
     ----------
@@ -99,42 +109,70 @@ def takagi(w: np.ndarray, tol: float = 1e-12) -> TakagiFactorization:
         of the largest entry.
     """
     w = np.asarray(w, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    if w.ndim != 2:
         raise ValueError(f"matrix must be square, got shape {w.shape}")
-    asym = float(np.abs(w - w.T).max())
-    allowed = tol * max(1.0, float(np.abs(w).max()))
-    if asym > allowed:
-        raise ValueError(f"matrix is not symmetric: asymmetry {asym:.3e} > {allowed:.1e}")
-    n = w.shape[0]
-    w = 0.5 * (w + w.T)
+    values, u = _takagi(w, tol)
+    return TakagiFactorization(unitary=u, values=values)
+
+
+def _takagi(w: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Takagi values (..., n) and unitaries U (..., n, n) of a stack of
+    complex symmetric matrices, slice by slice as takagi.
+
+    Uses the real embedding [[A, B], [B, -A]] of W = A + iB, whose
+    eigenpairs come in (sigma, -sigma) pairs; the positive half gives the
+    factor directly, and one eigh covers the whole stack. A slice with
+    fewer than n positive values is completed on its own from its
+    conjugated null space. Ties and the zero space are resolved
+    deterministically.
+    """
+    w = np.asarray(w, dtype=complex)
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {w.shape}")
+    lead, n = w.shape[:-2], w.shape[-1]
+    w = w.reshape((-1, n, n))
+    wt = w.transpose(0, 2, 1)
+    asym = np.abs(w - wt).max(axis=(1, 2))
+    allowed = tol * np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
+    if np.any(asym > allowed):
+        k = int(np.argmax(asym > allowed))
+        raise ValueError(
+            f"matrix is not symmetric: asymmetry {asym[k]:.3e} > {allowed[k]:.1e}"
+        )
+    w = 0.5 * (w + wt)
     a, b = w.real, w.imag
-    emb = np.block([[a, b], [b, -a]])
+    emb = np.concatenate([np.concatenate([a, b], 2), np.concatenate([b, -a], 2)], 1)
     vals, vecs = np.linalg.eigh(emb)
 
-    scale = max(1.0, float(np.abs(vals).max()))
-    pos = vals > 1e-13 * scale
-    sigma = vals[pos]
-    q = vecs[:n, pos] + 1j * vecs[n:, pos]
+    scale = np.maximum(1.0, np.abs(vals).max(axis=1))
+    positive = (vals > 1e-13 * scale[:, None]).sum(axis=1)
+    sigma = vals[:, n:]
+    q = vecs[:, :n, n:] + 1j * vecs[:, n:, n:]
     # unit real eigenvectors of the embedding give unit complex columns
-    q = q / np.linalg.norm(q, axis=0)
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    for i in np.flatnonzero(positive < n):
+        sigma[i], q[i] = _complete_null_space(w[i], sigma[i], q[i], positive[i])
 
-    k = q.shape[1]
-    if k < n:
-        # complete with the conjugated null space of W, re-orthonormalized
-        vh = np.linalg.svd(w)[2]
-        null = vh[k:, :].T
-        # orthonormalize the combined frame against roundoff
-        full = np.concatenate([q, null], axis=1)
-        qq, _ = np.linalg.qr(full)
-        # keep the positive-value columns aligned with their originals
-        q = np.concatenate([q, qq[:, k:]], axis=1)
-        sigma = np.concatenate([sigma, np.zeros(n - k)])
+    order = np.argsort(-sigma, axis=1, kind="stable")
+    rows = np.arange(len(w))[:, None]
+    # q[rows, :, order][k, j] is column order[k, j] of q[k]: the rows of U = Q^H
+    u = q[rows, :, order].conj()
+    return sigma[rows, order].reshape(lead + (n,)), u.reshape(lead + (n, n))
 
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    q = q[:, order]
-    u = q.conj().T
-    return TakagiFactorization(unitary=u, values=sigma)
+
+def _complete_null_space(
+    w: np.ndarray, sigma: np.ndarray, q: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the last k (positive) Takagi columns of one matrix and complete
+    them with its conjugated null space, re-orthonormalized."""
+    n = len(sigma)
+    q = q[:, n - k :]
+    null = np.linalg.svd(w)[2][k:, :].T
+    # orthonormalize the combined frame against roundoff, keeping the
+    # positive-value columns aligned with their originals
+    qq, _ = np.linalg.qr(np.concatenate([q, null], axis=1))
+    values = np.concatenate([sigma[n - k :], np.zeros(n - k)])
+    return values, np.concatenate([q, qq[:, k:]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -172,14 +210,8 @@ def bloch_messiah(s: np.ndarray, tol: float = 1e-8) -> BlochMessiahFactorization
     of the underlying congruence diagonalization.
     """
     s = np.asarray(s, dtype=float)
-    require_symplectic(s, tol=max(tol, SYMPLECTIC_TOL * max(1.0, np.abs(s).max() ** 2)))
-    n = s.shape[0] // 2
-    e, f = symplectic_to_bogoliubov(s)
-
-    # E F^T is complex symmetric with singular values sinh(2r)/2
-    fac = takagi(e @ f.T)
-    r = np.arcsinh(2.0 * fac.values) / 2.0
-    w_out = fac.unitary.conj().T
+    r, w_out = _passive_out(s, tol)
+    e, _ = symplectic_to_bogoliubov(s)
     cosh_inv = np.diag(1.0 / np.cosh(r))
     v_in = cosh_inv @ w_out.conj().T @ e
     # v_in is unitary up to roundoff; polish to keep R2 symplectic
@@ -191,27 +223,45 @@ def bloch_messiah(s: np.ndarray, tol: float = 1e-8) -> BlochMessiahFactorization
     return BlochMessiahFactorization(passive_out=r1, gains=r, passive_in=r2)
 
 
+def _passive_out(s: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Output side of bloch_messiah over a (..., 2N, 2N) stack.
+
+    Returns the gains (..., N) and the complex form W_out (..., N, N) of
+    R1 = unitary_to_symplectic(W_out). Every slice must pass bloch_messiah's
+    symplecticity check, max(tol, 1e-10 max(1, max|S|^2)) of its own.
+    """
+    s = np.asarray(s, dtype=float)
+    peak = np.abs(s).max(axis=(-2, -1))
+    require_symplectic(s, tol=np.maximum(tol, SYMPLECTIC_TOL * np.maximum(1.0, peak**2)))
+    e, f = symplectic_to_bogoliubov(s)
+    # E F^T is complex symmetric with singular values sinh(2r)/2
+    values, u = _takagi(e @ np.swapaxes(f, -1, -2))
+    return np.arcsinh(2.0 * values) / 2.0, np.swapaxes(u.conj(), -1, -2)
+
+
 def euler_orthogonal(angles: np.ndarray, n: int) -> np.ndarray:
     """Orthogonal N x N matrix as a product of plane rotations.
 
     The rotation planes are taken in the fixed lexicographic order
     (1,2), (1,3), ..., (N-1,N); angle count must be N(N-1)/2. With all
-    angles zero the result is the identity; det is always +1.
+    angles zero the result is the identity; det is always +1. A
+    (..., N(N-1)/2) stack of angle vectors gives a (..., N, N) stack.
     """
     angles = np.asarray(angles, dtype=float)
     need = n * (n - 1) // 2
-    if angles.shape != (need,):
+    if angles.shape[-1:] != (need,):
         raise ValueError(f"expected {need} angles for n={n}, got {angles.shape}")
-    out = np.eye(n)
+    eye = np.broadcast_to(np.eye(n), angles.shape[:-1] + (n, n))
+    out = eye.copy()
     k = 0
     for i in range(n - 1):
         for j in range(i + 1, n):
-            c, s = np.cos(angles[k]), np.sin(angles[k])
-            rot = np.eye(n)
-            rot[i, i] = c
-            rot[j, j] = c
-            rot[i, j] = -s
-            rot[j, i] = s
+            c, s = np.cos(angles[..., k]), np.sin(angles[..., k])
+            rot = eye.copy()
+            rot[..., i, i] = c
+            rot[..., j, j] = c
+            rot[..., i, j] = -s
+            rot[..., j, i] = s
             out = out @ rot
             k += 1
     return out
@@ -277,11 +327,11 @@ def symplectic_to_bogoliubov(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extract the (E, F) ladder-operator blocks of a symplectic matrix.
 
     The transform acts as A_out = E A + F A*; the inverse map is
-    bogoliubov_to_symplectic.
+    bogoliubov_to_symplectic. Works slice by slice on a stack.
     """
-    n = s.shape[0] // 2
-    sxx, sxy = s[:n, :n], s[:n, n:]
-    syx, syy = s[n:, :n], s[n:, n:]
+    n = s.shape[-1] // 2
+    sxx, sxy = s[..., :n, :n], s[..., :n, n:]
+    syx, syy = s[..., n:, :n], s[..., n:, n:]
     e = 0.5 * (sxx + syy) + 0.5j * (syx - sxy)
     f = 0.5 * (sxx - syy) + 0.5j * (syx + sxy)
     return e, f

@@ -328,6 +328,19 @@ class TestVlf:
         )
         assert rows[0][1:-1] == opt.rho.tolist()
 
+    def test_optimized_lost_symplecticity_exits_one(self, tmp_path, capsys):
+        """An optimized sweep at a pump that breaks symplecticity exits 1."""
+        data = {
+            "array": ARRAY,
+            "pump": {"amplitudes": [0.4] * 5},
+            "optimizer": {"fitness": "FM", "generations": 5, "seed": 7},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["vlf", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "anwsim: error: matrix is not symplectic: deviation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_detection_only_rejects_restarts(self, tmp_path, capsys):
         """The single-run detection search refuses a restart count."""
         data = {

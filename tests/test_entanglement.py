@@ -9,6 +9,7 @@ from anwsim import (
     GaussianState,
     PumpProfile,
     PRESETS,
+    QuadratureCombination,
     GraphSpec,
     certify,
     cluster_nullifier_variances,
@@ -21,8 +22,6 @@ from anwsim import (
     nullifiers_for,
     omega,
     propagator_exact,
-    s_lo,
-    vlf_rho,
     vlf_values,
 )
 from anwsim.symplectic import bloch_messiah
@@ -48,6 +47,14 @@ def two_mode_squeezer(r):
     b = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     bs = np.block([[b, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
     return GaussianState.from_propagator(0.0, bs @ k)
+
+
+def s_lo(graph, state, euler):
+    """LO-shaping transform S_C Obar(euler) R1^T, built from its factors."""
+    o = euler_orthogonal(euler, 5)
+    obar = np.block([[o, np.zeros((5, 5))], [np.zeros((5, 5)), o]])
+    r1 = bloch_messiah(state.propagator).passive_out
+    return cluster_transform(graph).matrix @ obar @ r1.T
 
 
 @pytest.fixture
@@ -192,41 +199,34 @@ class TestVLF:
             others = [k for k in range(5) if k not in (i - 1, i)]
             expected = 4.0 + np.sum(g[others] ** 2)
             assert np.isclose(
-                vlf_rho(state, np.zeros(5), g, i), expected, atol=1e-12, rtol=0
+                vlf_values(state, np.zeros(5), g)[i - 1], expected, atol=1e-12, rtol=0
             )
 
     def test_two_mode_squeezing_violates_bound(self):
         """A two-mode squeezed pair gives rho = 4 exp(-2r)."""
         r = 0.7
         state = two_mode_squeezer(r)
-        rho = vlf_rho(state, np.zeros(2), np.zeros(2), 1)
+        (rho,) = vlf_values(state, np.zeros(2), np.zeros(2))
         assert np.isclose(rho, 4.0 * np.exp(-2.0 * r), atol=1e-12, rtol=0)
-
-    def test_pair_index_range(self):
-        """Pair indices are 1-based and bounded by N-1."""
-        state = vacuum(3)
-        with pytest.raises(IndexError, match="pair index 0 out of range"):
-            vlf_rho(state, np.zeros(3), np.zeros(3), 0)
-        with pytest.raises(IndexError, match="pair index 3 out of range"):
-            vlf_rho(state, np.zeros(3), np.zeros(3), 3)
 
     def test_vector_length_validation(self):
         """Phase and gain vectors must match the mode count."""
         state = vacuum(3)
         with pytest.raises(ValueError, match="lo_phases and gains must have length 3"):
-            vlf_rho(state, np.zeros(2), np.zeros(3), 1)
+            vlf_values(state, np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="lo_phases and gains must have length 3"):
-            vlf_rho(state, np.zeros(3), np.zeros(4), 1)
+            vlf_values(state, np.zeros(3), np.zeros(4))
 
     def test_values_stack_rho(self):
-        """vlf_values returns the N-1 pairwise combinations in order."""
+        """rho_1 = V[x_1 - x_2] + V[y_1 + y_2] at the detector phases."""
         state = two_mode_squeezer(0.3)
         theta = np.array([0.1, -0.4])
         g = np.array([0.0, 0.0])
         values = vlf_values(state, theta, g)
-        assert np.allclose(
-            values, [vlf_rho(state, theta, g, 1)], atol=1e-14, rtol=0
-        )
+        expected = combination_variance(
+            state, QuadratureCombination([1.0, -1.0, 0.0, 0.0], theta)
+        ) + combination_variance(state, QuadratureCombination([0.0, 0.0, 1.0, 1.0], theta))
+        assert np.allclose(values, [expected], atol=1e-14, rtol=0)
 
 
 class TestCertify:

@@ -10,15 +10,21 @@ from anwsim import (
     change_basis,
     combination_variance,
     linear_supermodes,
-    max_variance,
     min_variance,
     propagator_exact,
+    quadrature_variances,
     squeezing_db,
     unitary_to_symplectic,
-    variance_at,
 )
 
 np.random.seed(7)
+
+
+def variance_at(state, i, theta):
+    """Variance of the rotated quadrature x_i(theta), as a one-hot row."""
+    row, angles = np.zeros(2 * state.n), np.zeros(state.n)
+    row[i - 1], angles[i - 1] = 1.0, theta
+    return float(quadrature_variances(state.covariance, row[None, :], angles)[0])
 
 
 def squeezer_state(r, alpha=0.0):
@@ -52,7 +58,7 @@ class TestValidation:
         """Mode 0 and mode N+1 are out of range."""
         state = squeezer_state(0.5)
         with pytest.raises(IndexError, match="mode index 0 out of range"):
-            variance_at(state, 0, 0.0)
+            min_variance(state, 0)
         with pytest.raises(IndexError, match="mode index 2 out of range"):
             min_variance(state, 2)
 
@@ -93,8 +99,8 @@ class TestExtremalVariances:
     def test_min_max_product_pure_state(self):
         """Pure single-mode states saturate the uncertainty product."""
         state = squeezer_state(0.9, alpha=-0.8)
-        vmin, _ = min_variance(state, 1)
-        vmax, _ = max_variance(state, 1)
+        vmin, theta = min_variance(state, 1)
+        vmax = variance_at(state, 1, theta + np.pi / 2)
         assert np.isclose(vmin * vmax, 1.0, atol=1e-12, rtol=0)
 
     def test_rotated_squeezer_angle(self):
@@ -125,8 +131,8 @@ class TestExtremalVariances:
     def test_extremes_bracket_samples(self):
         """No sampled angle beats the reported extrema."""
         state = squeezer_state(0.5, alpha=1.0)
-        vmin, _ = min_variance(state, 1)
-        vmax, _ = max_variance(state, 1)
+        vmin, theta = min_variance(state, 1)
+        vmax = variance_at(state, 1, theta + np.pi / 2)
         sampled = [variance_at(state, 1, t) for t in np.linspace(-np.pi / 2, np.pi / 2, 181)]
         assert vmin <= min(sampled) + 1e-12
         assert vmax >= max(sampled) - 1e-12

@@ -9,19 +9,18 @@ from anwsim import (
     ArrayConfig,
     GaussianState,
     PumpProfile,
-    coupling_matrix_L,
     coupling_tridiagonal,
     flat_pump_analytic,
     integrated_L,
     linear_supermodes,
     min_variance,
-    nonlinear_supermodes,
     propagator_exact,
     propagator_no_ordering,
     quad_generator,
     rk4_propagate,
     rk4_propagate_batch,
     symplectic_error,
+    takagi,
     unitary_to_symplectic,
 )
 
@@ -234,25 +233,39 @@ class TestPropagatorExact:
             GaussianState.from_propagator(0.0, np.eye(4), basis="fock")
 
 
+def coupling_L(cfg, pump, modes, z):
+    """Pump-mediated supermode coupling L(z), the integrand of integrated_L.
+
+    L_{kk'}(z) = 2i sum_j |eta_j| M_kj M_k'j exp(i(phi_j - (lambda_k +
+    lambda_k') z)).
+    """
+    m, lam = modes.matrix, modes.eigenvalues
+    coef = 2j * (m * pump.complex_amplitudes) @ m.T
+    return coef * np.exp(-1j * (lam[:, None] + lam[None, :]) * z)
+
+
 class TestCouplingMatrixL:
     """Pump-mediated supermode coupling and its z integral."""
 
     def test_symmetric_complex(self):
-        """L(z) is complex symmetric."""
+        """The integrated coupling is complex symmetric."""
         cfg = ArrayConfig(n=5, coupling=0.24, length=30.0)
         pump = PumpProfile([0.03, 0.01, 0.04, 0.02, 0.05], [0.1, 0.9, -0.4, 2.2, -1.8])
         modes = linear_supermodes(cfg)
-        l = coupling_matrix_L(cfg, pump, modes, 7.0)
+        l = integrated_L(cfg, pump, modes, 7.0)
         assert np.allclose(l, l.T, atol=1e-15, rtol=0)
 
     def test_sum_rule_at_origin(self):
-        """L(0) = 2i M diag(eta) M^T."""
+        """The integral starts at zero with slope L(0) = 2i M diag(eta) M^T."""
         cfg = ArrayConfig(n=4, coupling=0.2, length=10.0)
         pump = PumpProfile([0.03, 0.0, 0.01, 0.02], [0.5, 0.0, -0.5, 1.0])
         modes = linear_supermodes(cfg)
         expected = 2j * (modes.matrix * pump.complex_amplitudes) @ modes.matrix.T
-        assert np.allclose(coupling_matrix_L(cfg, pump, modes, 0.0), expected,
-                           atol=1e-15, rtol=0)
+        assert np.array_equal(integrated_L(cfg, pump, modes, 0.0), np.zeros((4, 4)))
+        # the kernel is z - i s z^2 / 2 + ..., so the slope is exact to O(s z)
+        dz = 1e-7
+        assert np.allclose(integrated_L(cfg, pump, modes, dz) / dz, expected,
+                           atol=1e-8, rtol=0)
 
     def test_integral_matches_quadrature(self):
         """integrated_L equals element-wise numerical integration of L."""
@@ -263,9 +276,9 @@ class TestCouplingMatrixL:
         lint = integrated_L(cfg, pump, modes, z)
         for k in range(5):
             for kp in range(k, 5):
-                re = quad(lambda t: coupling_matrix_L(cfg, pump, modes, t)[k, kp].real,
+                re = quad(lambda t: coupling_L(cfg, pump, modes, t)[k, kp].real,
                           0.0, z, limit=200)[0]
-                im = quad(lambda t: coupling_matrix_L(cfg, pump, modes, t)[k, kp].imag,
+                im = quad(lambda t: coupling_L(cfg, pump, modes, t)[k, kp].imag,
                           0.0, z, limit=200)[0]
                 assert np.isclose(lint[k, kp], re + 1j * im, atol=1e-10, rtol=0)
 
@@ -325,14 +338,15 @@ class TestNoOrdering:
 
 
 class TestNonlinearSupermodes:
-    """Decoupled squeezing basis from the integrated coupling."""
+    """Decoupled squeezing basis: the Takagi factors of the integrated coupling."""
 
     def test_congruence_reconstruction(self):
         """Ups^dag diag(r) Ups^* rebuilds the integrated coupling matrix."""
         cfg = ArrayConfig(n=5, coupling=0.24, length=30.0)
         pump = PumpProfile([0.03, 0.01, 0.04, 0.02, 0.05], [0.1, 0.9, -0.4, 2.2, -1.8])
-        ups, rs = nonlinear_supermodes(cfg, pump, 12.0)
         lint = integrated_L(cfg, pump, linear_supermodes(cfg), 12.0)
+        fac = takagi(lint)
+        ups, rs = fac.unitary, fac.values
         assert np.allclose(ups.conj().T @ np.diag(rs) @ ups.conj(), lint, atol=1e-12, rtol=0)
         assert np.allclose(ups @ ups.conj().T, np.eye(5), atol=1e-12, rtol=0)
         assert np.all(np.diff(rs) <= 1e-15) and np.all(rs >= 0)
@@ -341,8 +355,8 @@ class TestNonlinearSupermodes:
         """For a flat pump the middle supermode squeezes at 2 eta z."""
         cfg = ArrayConfig(n=5, coupling=0.24, length=30.0)
         eta, z = 0.015, 30.0
-        _, rs = nonlinear_supermodes(cfg, PumpProfile.flat(5, eta), z)
-        assert np.isclose(rs[0], 2 * eta * z, atol=1e-12, rtol=0)
+        lint = integrated_L(cfg, PumpProfile.flat(5, eta), linear_supermodes(cfg), z)
+        assert np.isclose(takagi(lint).values[0], 2 * eta * z, atol=1e-12, rtol=0)
 
 
 class TestFlatPumpAnalytic:

@@ -343,6 +343,11 @@ class TestOptimizeVLF:
         opt = optimize_vlf(cfg5, 30.0, 0.015, seed=7, generations=30)
         assert opt.optimization.fitness < start
 
+    def test_lost_symplecticity_raises(self, cfg5):
+        """A best point whose propagator lost symplecticity is refused, not reported."""
+        with pytest.raises(ValueError, match="matrix is not symplectic: deviation"):
+            optimize_vlf(cfg5, 30.0, 0.4, seed=7, generations=5)
+
     def test_pump_phase_variant_consistency(self, cfg5):
         """Pump phases join the search with the first guide as reference."""
         opt = optimize_vlf(
