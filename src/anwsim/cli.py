@@ -353,6 +353,10 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 "emulation_error": float(syn.fp),
                 "nullifier_variances": _round_trip(syn.nullifier_variances),
             }
+            tail = {
+                "polish_evaluations": int(syn.polish_evaluations),
+                "polish_stop": syn.polish_stop,
+            }
             s = float(syn.nullifier_variances.sum())
             summary = (
                 f"{graph.name}: F_P synthesis, emulation error {syn.fp:.3e}, "

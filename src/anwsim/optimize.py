@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .entanglement import (
     CertificationReport,
@@ -69,6 +68,10 @@ GAIN_LIMIT = 10.0  # postprocessing gain search range
 # polar sweeps of the nearest-phase-rotation solve: cap and stopping gain
 _POLAR_SWEEPS = 200
 _POLAR_TOL = 1e-14
+# multi-directional search polish of F_P: evaluation budget and simplex size
+# at which it has converged
+_POLISH_EVALS = 8000
+_POLISH_XTOL = 1e-9
 
 _KINDS = ("amplitude", "angle", "gain", "free")
 
@@ -643,6 +646,8 @@ class EmulationSynthesis:
     post_euler: np.ndarray
     fp: float
     nullifier_variances: np.ndarray
+    polish_evaluations: int  # evaluations of the local polish
+    polish_stop: str  # why the polish stopped: "converged" or "budget"
 
     @property
     def parameters(self) -> np.ndarray:
@@ -742,6 +747,51 @@ def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
+def _polish(
+    fitness: Callable[[np.ndarray], np.ndarray], x0: np.ndarray
+) -> tuple[np.ndarray, float, int, str]:
+    """Minimize a batched fitness from x0 by multi-directional search.
+
+    Torczon's simplex method (SIAM J. Optim. 1:123, 1991): the simplex
+    starts as scipy's Nelder-Mead does (+5 % per coordinate, 0.00025 for
+    a zero one). Each iteration reflects the d non-best vertices through
+    the best one and expands them twice as far, all 2d trial points in
+    one batch, and keeps the reflected or expanded simplex, whichever
+    holds the lower trial value, if that value beats the best vertex.
+    Otherwise the vertices contract halfway to the best one, as one batch
+    of d. Stops before a batch would take the count past _POLISH_EVALS
+    ("budget") or once every vertex is within _POLISH_XTOL of the best
+    in each coordinate ("converged"). Returns (best point, its value,
+    evaluations, stop reason).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    d = len(x0)
+    v = np.vstack([x0, x0 + np.diag(np.where(x0 != 0.0, 0.05 * x0, 0.00025))])
+    f = _evaluate(fitness, v)
+    evals = d + 1
+    while True:
+        k = np.argsort(f, kind="stable")
+        v, f = v[k], f[k]
+        if np.abs(v[1:] - v[0]).max() < _POLISH_XTOL:
+            return v[0], float(f[0]), evals, "converged"
+        if evals + 2 * d > _POLISH_EVALS:
+            return v[0], float(f[0]), evals, "budget"
+        edges = v[1:] - v[0]
+        trial = np.concatenate([v[0] - edges, v[0] - 2.0 * edges])
+        ft = _evaluate(fitness, trial)
+        evals += 2 * d
+        j = int(np.argmin(ft))
+        if ft[j] < f[0]:
+            keep = slice(0, d) if j < d else slice(d, 2 * d)
+            v[1:], f[1:] = trial[keep], ft[keep]
+        elif evals + d > _POLISH_EVALS:
+            return v[0], float(f[0]), evals, "budget"
+        else:
+            v[1:] = v[0] + 0.5 * edges
+            f[1:] = _evaluate(fitness, v[1:])
+            evals += d
+
+
 def synthesize_emulation(
     cfg: ArrayConfig,
     z: float,
@@ -760,9 +810,12 @@ def synthesize_emulation(
     mixing angles only; for each candidate the optimal LO phases and
     postprocessing rotation have a closed form (phase-rotation projection
     of a unitary), which removes N + N(N-1)/2 dimensions from the search.
-    The winner is polished with a derivative-free local minimizer, and
-    the eliminated parameters are reconstructed so the reported vector
-    evaluates to the same F_P through the full fitness.
+    The winner is polished by a multi-directional simplex search
+    (``_polish``) whose reflect/expand and contract steps are each one
+    batch of the reduced F_P, and the eliminated parameters are
+    reconstructed so the reported vector evaluates to the same F_P
+    through the full fitness. The polish's evaluation count and stop
+    reason are reported with the result.
 
     ``target`` is an early-stop threshold on the summed cluster-basis
     nullifier variances (with every variance also below shot noise).
@@ -773,7 +826,7 @@ def synthesize_emulation(
 
     def _pump(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # negative amplitude = positive amplitude with a pi phase shift,
-        # keeping the fitness smooth for the unconstrained local polish
+        # keeping the fitness smooth for the unconstrained simplex polish
         amp = p[..., :n]
         return np.abs(amp), _wrap_angle(p[..., n : 2 * n] + np.where(amp < 0, np.pi, 0.0))
 
@@ -819,14 +872,9 @@ def synthesize_emulation(
         seed,
         None if target is None else reached,
     )
-    polish = _scipy_minimize(
-        reduced,
-        best.parameters,
-        method="Nelder-Mead",
-        options=dict(maxfev=4000, fatol=1e-12, xatol=1e-9),
-    )
-    x = polish.x if polish.fun <= best.fitness else best.parameters
-    fp = float(min(polish.fun, best.fitness))
+    x_pol, f_pol, polish_evals, polish_stop = _polish(reduced, best.parameters)
+    x = x_pol if f_pol <= best.fitness else best.parameters
+    fp = min(f_pol, best.fitness)
 
     pump, bm, o, variances = summarize(x)
     u1 = bm.passive_out[:n, :n] + 1j * bm.passive_out[n:, :n]
@@ -835,7 +883,7 @@ def synthesize_emulation(
         parameters=space.wrap(x),
         fitness=fp,
         trace=np.minimum.accumulate(np.append(best.trace, fp)),
-        evaluations=best.evaluations + polish.nfev,
+        evaluations=best.evaluations + polish_evals,
         generations=best.generations + 1,
         seed=seed,
     )
@@ -848,4 +896,6 @@ def synthesize_emulation(
         post_euler=orthogonal_to_euler(p_opt),
         fp=fp,
         nullifier_variances=variances,
+        polish_evaluations=polish_evals,
+        polish_stop=polish_stop,
     )

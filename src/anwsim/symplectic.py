@@ -56,11 +56,15 @@ def require_symplectic(s: np.ndarray, tol: float | np.ndarray = SYMPLECTIC_TOL) 
     """Refuse a matrix, or a stack of them, with a slice whose defect exceeds tol.
 
     ``tol`` is a scalar or an array over the stack's leading axes (one
-    tolerance per slice); the message names the worst offending slice.
+    tolerance per slice). A slice with a non-finite defect (an overflowed
+    matrix) is refused first; otherwise the message names the worst
+    offending slice.
     """
     if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] % 2:
         raise ValueError(f"expected an even square matrix, got shape {s.shape}")
     err = _defects(s)
+    if not np.isfinite(err).all():
+        raise ValueError("matrix is not symplectic: it is not finite")
     bad = err > tol
     if bad.any():
         k = np.unravel_index(np.argmax(np.where(bad, err, -np.inf)), err.shape)

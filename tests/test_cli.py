@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 import anwsim.optimize
 from anwsim import (
@@ -445,7 +444,8 @@ class TestCluster:
         )
 
     def test_fp_synthesis_record(self, tmp_path):
-        """A small F_P run reports the emulation error and variances."""
+        """A small F_P run reports the emulation error, variances and the
+        polish's stop, and replays to identical results."""
         data = {
             "array": ARRAY,
             "graph": {"preset": "linear"},
@@ -466,14 +466,21 @@ class TestCluster:
         assert len(results["nullifier_variances"]) == 5
         assert len(results["mixing_euler_pi"]) == 10
         assert len(results["post_euler_pi"]) == 10
+        assert results["polish_stop"] in ("converged", "budget")
+        assert 0 < results["polish_evaluations"] <= anwsim.optimize._POLISH_EVALS
+        es_evals = 5 + 40 * 2
+        assert results["evaluations"] == es_evals + results["polish_evaluations"]
+        again = tmp_path / "again"
+        assert run(["cluster", "--config", cfg_path, "--out", str(again)]) == 0
+        assert json.dumps(read_record(again, "cluster")["results"]) == json.dumps(results)
 
     def test_fp_es_sizes_reach_driver(self, tmp_path, monkeypatch):
         """population and parents set the F_P search's evaluation budget."""
 
-        def no_polish(fun, x0, **kwargs):
-            return OptimizeResult(x=x0, fun=np.inf, nfev=0)
+        def no_polish(fitness, x0):
+            return x0, np.inf, 0, "budget"
 
-        monkeypatch.setattr(anwsim.optimize, "_scipy_minimize", no_polish)
+        monkeypatch.setattr(anwsim.optimize, "_polish", no_polish)
         data = {
             "array": ARRAY,
             "graph": {"preset": "linear"},

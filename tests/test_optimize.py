@@ -1,4 +1,8 @@
 """Tests for the evolution strategy and the synthesis drivers."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +29,10 @@ from anwsim import (
     vlf_problem,
     vlf_values,
 )
+import anwsim
+from anwsim import optimize
 from anwsim.measurement import combination_variance
+from anwsim.optimize import _polish
 
 np.random.seed(42)
 
@@ -447,3 +454,111 @@ class TestSynthesizeEmulation:
         assert syn.nullifier_variances.shape == (5,)
         assert np.all(syn.nullifier_variances > 0)
         assert np.all(np.diff(syn.optimization.trace) <= 0)
+
+
+def shifted_quadratic(d, condition=1e3, seed=5):
+    """Quadratic with minimum 0 at a random shift and axis curvatures
+    spread log-evenly over the given condition number."""
+    rng = np.random.default_rng(seed)
+    w = np.logspace(0.0, np.log10(condition), d)
+    c = rng.uniform(-2.0, 2.0, d)
+
+    def fit(x):
+        return np.sum(w * (x - c) ** 2, axis=-1)
+
+    return fit, c
+
+
+class TestPolish:
+    """The batched multi-directional search that polishes F_P."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 300))
+    def test_budget_never_exceeded(self, d, extra):
+        """Evaluations, counted by the fitness, stop within the budget."""
+        budget = d + 1 + extra
+        seen = []
+
+        def fit(x):
+            seen.append(len(x))
+            return sphere(x - 1.0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_POLISH_EVALS", budget)
+            _, _, evals, stop = _polish(fit, np.full(d, 3.0))
+        assert evals == sum(seen) <= budget
+        if stop == "budget":
+            assert evals + 2 * d > budget
+
+    def test_batches_only(self):
+        """The fitness sees (m, d) batches: the start simplex, the 2d
+        reflections and expansions, or the d contractions."""
+        fit, _ = shifted_quadratic(4)
+        shapes = []
+
+        def spy(x):
+            shapes.append(np.shape(x))
+            return fit(x)
+
+        _polish(spy, np.zeros(4))
+        assert shapes[0] == (5, 4)
+        assert set(shapes[1:]) == {(8, 4), (4, 4)}
+
+    def test_best_value_is_fitness_at_best_point(self):
+        """The returned value is at most the start value and is the
+        fitness of the returned point."""
+        fit, _ = shifted_quadratic(5)
+        x0 = np.full(5, 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_POLISH_EVALS", 200)
+            x, f, _, _ = _polish(fit, x0)
+        assert f <= fit(x0[None])[0]
+        assert f == fit(x[None])[0]
+
+    def test_replays_bit_identically(self):
+        """Two runs from the same start agree in every bit."""
+        fit, _ = shifted_quadratic(6)
+        a = _polish(fit, np.linspace(-1.0, 1.0, 6))
+        b = _polish(fit, np.linspace(-1.0, 1.0, 6))
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1:] == b[1:]
+
+    @pytest.mark.parametrize("x0", [np.zeros(4), np.ones(4)])
+    def test_converges_on_ill_conditioned_quadratic(self, x0):
+        """A quadratic of condition 1e3 is solved before the budget. (Its
+        axes are the start simplex's edges; a rotated narrow valley takes
+        the search far longer, since its simplex keeps its shape.)"""
+        fit, c = shifted_quadratic(4)
+        x, f, evals, stop = _polish(fit, x0)
+        assert stop == "converged"
+        assert evals < optimize._POLISH_EVALS
+        assert np.allclose(x, c, atol=1e-6, rtol=0)
+        assert f < 1e-12
+
+    def test_keeps_best_point_seen_on_jumps(self):
+        """On a fitness with plateaus and jumps the result is the best
+        point evaluated, not the last one."""
+        points, values = [], []
+
+        def fit(x):
+            f = np.floor(4.0 * np.abs(x - 0.3).sum(axis=-1)) + 0.1 * np.sin(7.0 * x[:, 0])
+            points.append(x.copy())
+            values.append(f)
+            return f
+
+        x, f, _, _ = _polish(fit, np.full(3, 2.0))
+        points, values = np.concatenate(points), np.concatenate(values)
+        k = int(np.argmin(values))
+        assert f == values[k]
+        assert np.array_equal(x, points[k])
+
+
+def test_import_leaves_out_scipy_optimize():
+    """Importing the package in a fresh interpreter loads no scipy.optimize."""
+    src = str(Path(anwsim.__file__).resolve().parents[1])
+    code = "import sys, anwsim; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from anwsim import (
     SYMPLECTIC_TOL,
+    ArrayConfig,
+    PumpProfile,
     bloch_messiah,
     bogoliubov_to_symplectic,
     d_lo,
@@ -13,6 +15,7 @@ from anwsim import (
     mat_exp,
     omega,
     orthogonal_to_euler,
+    propagator_exact,
     require_symplectic,
     symplectic_error,
     symplectic_to_bogoliubov,
@@ -72,6 +75,18 @@ class TestSymplecticCheck:
         """Odd-dimensional input cannot be symplectic."""
         with pytest.raises(ValueError, match="even square matrix"):
             require_symplectic(np.eye(3))
+
+    def test_overflowed_slice_rejected(self):
+        """A stack holding one finite propagator and one overflowed one
+        (NaN defect) is refused as not finite."""
+        cfg = ArrayConfig(5, 0.24, 30.0)
+        good = propagator_exact(cfg, PumpProfile.flat(5, 0.015), 30.0).propagator
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = propagator_exact(cfg, PumpProfile.flat(5, 30.0), 30.0).propagator
+        assert np.isnan(symplectic_error(bad))
+        require_symplectic(good)
+        with pytest.raises(ValueError, match="not finite"):
+            require_symplectic(np.stack([good, bad]))
 
     def test_random_symplectic_passes(self):
         """Exponentials of Hamiltonian generators pass the check."""
