@@ -595,6 +595,18 @@ class TestOracleCheck:
         assert results["analytic_vs_exact"] < 1e-10
         assert results["analytic_vs_no_ordering"] < 1e-8
 
+    def test_rk4_keeps_step_loop_accuracy(self, tmp_path):
+        """Powered RK4 matches expm to roundoff: R^n formed as a plain matrix
+        power instead of I + E loses about two digits and fails here."""
+        data = {
+            "array": ARRAY,
+            "pump": {"amplitudes": [3e-6] * 5, "phases_pi": [-0.5] * 5},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["oracle-check", "--config", cfg_path, "--out", str(out)]) == 0
+        assert read_record(out, "oracle-check")["results"]["exact_vs_rk4"] < 5e-14
+
     def test_symplectic_defect_matches_library(self, tmp_path, cfg5):
         """The reported defect is symplectic_error of the exact propagator."""
         data = {"array": ARRAY, "pump": LINEAR_PUMP}
@@ -639,7 +651,7 @@ class TestOracleCheck:
         assert 2.5 < results["no_ordering_error_slope"] < 3.5
 
     def test_record_replays(self, tmp_path):
-        """Re-running the echoed config reproduces every metric."""
+        """Re-running the echoed config reproduces the results block byte for byte."""
         data = {
             "array": ARRAY,
             "pump": {"amplitudes": [0.01] * 5, "phases_pi": [-0.5] * 5},
@@ -652,10 +664,7 @@ class TestOracleCheck:
         out_b = tmp_path / "b"
         run(["oracle-check", "--config", replay_path, "--out", str(out_b)])
         record_b = read_record(out_b, "oracle-check")
-        for key in ("exact_vs_rk4", "analytic_vs_exact", "analytic_vs_no_ordering"):
-            assert np.isclose(
-                record_a["results"][key], record_b["results"][key], atol=1e-12, rtol=0
-            )
+        assert json.dumps(record_a["results"]) == json.dumps(record_b["results"])
 
 
 LINEAR_VERIFY = {

@@ -472,6 +472,30 @@ class TestRK4:
         with pytest.raises(ValueError, match="one distance per generator"):
             rk4_propagate_batch([q, q], np.array([1.0]))
 
+    @pytest.mark.parametrize("z", [[-1.0, 2.0], [np.nan], [np.inf], [1.0, 1e20]])
+    def test_batch_bad_distance_rejected(self, z):
+        """One negative, non-finite or out-of-range distance refuses the whole
+        batch, naming z."""
+        q = np.zeros((4, 4))
+        with pytest.raises(ValueError, match="z must be finite, nonnegative"):
+            rk4_propagate_batch([q] * len(z), np.array(z))
+
+    @pytest.mark.parametrize("z", [-1.0, np.nan, 1e20])
+    def test_bad_distance_rejected(self, z):
+        """A negative, NaN or over 2**53-step distance raises instead of integrating."""
+        cfg = ArrayConfig(n=2, coupling=0.2, length=10.0)
+        with pytest.raises(ValueError, match="z must be finite, nonnegative"):
+            rk4_propagate(cfg, PumpProfile.off(2), z)
+
+    @pytest.mark.parametrize("step", [-1e-3, 0.0, np.nan, np.inf])
+    def test_bad_step_rejected(self, step):
+        """A step that is not finite and positive raises a ValueError naming it."""
+        cfg = ArrayConfig(n=2, coupling=0.2, length=10.0)
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            rk4_propagate(cfg, PumpProfile.off(2), 1.0, step=step)
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            rk4_propagate_batch([np.zeros((4, 4))], np.array([1.0]), step=step)
+
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 2**32 - 1))

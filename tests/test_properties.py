@@ -1,6 +1,6 @@
-"""Property tests: config round-trips, basis-change invariants, and stacked
+"""Property tests: config round-trips, basis-change invariants, stacked
 measurement and symplecticity paths that must agree with their one-item
-counterparts bit for bit."""
+counterparts bit for bit, and the powered RK4 against a step loop."""
 import json
 
 import numpy as np
@@ -19,6 +19,8 @@ from anwsim import (
     parse_config,
     propagators,
     propagator_exact,
+    quad_generator,
+    rk4_propagate_batch,
     squeezing_db,
     symplectic_error,
     unitary_to_symplectic,
@@ -175,3 +177,42 @@ def test_squeezing_db_elementwise(values):
     assert all(db[i] == squeezing_db(x) for i, x in enumerate(values))
     with pytest.raises(ValueError, match="variance must be positive, got 0.0"):
         squeezing_db(np.insert(v, len(v) // 2, 0.0).reshape(-1, 1))
+
+
+RK4_STEP = 1e-3
+RK4_STEPS = st.one_of(
+    st.integers(0, 5000), st.sampled_from([2**k + d for k in range(13) for d in (-1, 1)])
+)
+
+
+def _rk4_loop(q, steps, h):
+    """Reference RK4, one step at a time."""
+    s = np.eye(q.shape[0])
+    for _ in range(steps):
+        k1 = q @ s
+        k2 = q @ (s + 0.5 * h * k1)
+        k3 = q @ (s + 0.5 * h * k2)
+        k4 = q @ (s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.lists(RK4_STEPS, min_size=1, max_size=3))
+def test_powered_rk4_equals_step_loop(seed, steps):
+    """Powered RK4 rows agree with the step loop to 1e-12 max(1, max|S|), equal
+    their one-row calls bit for bit, and are exactly I after zero steps."""
+    rng = np.random.default_rng(seed)
+    gens, zs = [], [k * RK4_STEP for k in steps]
+    for z in zs:
+        n = int(rng.integers(1, 6))
+        cfg = ArrayConfig(n=n, coupling=float(rng.uniform(0.0, 0.5)), length=30.0)
+        eta = rng.uniform(0.0, min(1.0, 2.0 / z) if z else 1.0, n)
+        gens.append(quad_generator(cfg, PumpProfile(eta, rng.uniform(-np.pi, np.pi, n))))
+    batch = rk4_propagate_batch(gens, np.array(zs), step=RK4_STEP)
+    for q, z, k, s in zip(gens, zs, steps, batch):
+        want = _rk4_loop(q, k, RK4_STEP)
+        assert np.abs(s - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.array_equal(s, rk4_propagate_batch([q], np.array([z]), step=RK4_STEP)[0])
+        if k == 0:
+            assert np.array_equal(s, np.eye(q.shape[0]))
