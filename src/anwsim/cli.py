@@ -3,7 +3,10 @@
 Subcommands: supermodes | propagate | vlf | cluster | verify | oracle-check.
 Every run writes a self-contained JSON record (the echoed configuration
 plus all computed metrics, versions and the seed), and optionally a
-plot-ready CSV with a z_mm first column. Runs are deterministic given
+plot-ready CSV with a z_mm first column. The record puts dict keys one
+per line, a list of scalars on one line and a table one row per line;
+its table cells are the CSV's strings (shortest round-trip repr), so
+both files carry the same digits. Runs are deterministic given
 the config and seed; a sweep is evaluated in process as one stack of
 propagators over its grid.
 
@@ -14,7 +17,7 @@ Exit codes: 0 on success, 2 when a verify run fails certification,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -431,8 +434,9 @@ def cmd_oracle_check(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
     z = cfg.length
-    exact = propagator_exact(cfg, pump, z)
+    # RK4 first: its step-count check refuses a distance expm cannot reach
     rk4 = rk4_propagate(cfg, pump, z)
+    exact = propagator_exact(cfg, pump, z)
     results: dict = {
         "exact_vs_rk4": float(np.abs(exact.propagator - rk4.propagator).max()),
         "symplectic_defect": symplectic_error(exact.propagator),
@@ -494,7 +498,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="anwsim",
         description="Gaussian-state simulation of arrays of nonlinear waveguides",
@@ -513,18 +519,63 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _csv_lines(rows: list[list[float]]) -> list[str]:
+    """Each table row as its CSV line, every cell in shortest round-trip repr."""
+    return [",".join(map(float.__repr__, row)) for row in rows]
+
+
+def _json_table(lines: list[str], pad: str) -> str:
+    """A table's record text, one row per line, from its CSV lines.
+
+    Finite reprs hold no letters n, a, i or f, so replacing the Python
+    spellings of non-finite cells gives JSON's NaN/Infinity tokens.
+    """
+    if not lines:
+        return "[]"
+    inner = pad + "  "
+    body = "\n".join(lines).replace(",", ", ").replace("\n", f"],\n{inner}[")
+    text = f"[\n{inner}[{body}]\n{pad}]"
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _json_text(value, pad: str, table: list | None, lines: list[str] | None) -> str:
+    """Record text of ``value`` whose closing bracket sits at indent ``pad``.
+
+    Dict keys go one per line, a list of scalars on one line (C encoder),
+    a list holding lists or dicts one item per line, and ``table`` (by
+    identity) through its preformatted ``lines``. Re-indenting the text
+    with ``json.dumps(json.loads(text), indent=2)`` gives that call's bytes.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{inner}{json.dumps(k)}: {_json_text(v, inner, table, lines)}"
+            for k, v in value.items()
+        )
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, list):
+        if value is table:
+            return _json_table(lines, pad)
+        if any(isinstance(v, (list, dict)) for v in value):
+            items = (inner + _json_text(v, inner, table, lines) for v in value)
+            return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return json.dumps(value)
+
+
 def _write_outputs(out: RunOutput, outdir: Path, fmt: str) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    record_path = outdir / f"{out.record.command.replace('-', '_')}_record.json"
-    record_path.write_text(json.dumps(out.record.to_dict(), indent=2) + "\n")
-    written.append(record_path)
-    if fmt == "csv" and out.header is not None and out.rows is not None:
-        csv_path = outdir / f"{out.record.command.replace('-', '_')}.csv"
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(out.header)
-            writer.writerows(out.rows)
+    stem = out.record.command.replace("-", "_")
+    lines = None if out.rows is None else _csv_lines(out.rows)
+    record_path = outdir / f"{stem}_record.json"
+    record_path.write_text(_json_text(out.record.to_dict(), "", out.rows, lines) + "\n")
+    written = [record_path]
+    if fmt == "csv" and out.header is not None and lines is not None:
+        csv_path = outdir / f"{stem}.csv"
+        # float reprs and the identifier-like header names hold no comma,
+        # quote or line break, so no cell needs CSV quoting
+        csv_path.write_text("\r\n".join([",".join(out.header), *lines]) + "\r\n", newline="")
         written.append(csv_path)
     return written
 

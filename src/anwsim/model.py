@@ -267,12 +267,19 @@ def propagators(
     return _propagate(cfg, amp, ph, z)
 
 
+def _check_z(z: float | np.ndarray) -> np.ndarray:
+    """z as a float array; refuses any entry that is not finite and >= 0."""
+    z = np.asarray(z, dtype=float)
+    bad = ~(np.isfinite(z) & (z >= 0))
+    if np.any(bad):
+        raise ValueError(f"z must be finite and nonnegative, got {z[bad][0]}")
+    return z
+
+
 def _propagate(
     cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float | np.ndarray
 ) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError(f"z must be nonnegative, got {z.min()}")
+    z = _check_z(z)
     return mat_exp(_generators(cfg, amplitudes, phases) * z[..., None, None])
 
 
@@ -335,8 +342,7 @@ def propagator_no_ordering(cfg: ArrayConfig, pump: PumpProfile, z: float) -> Gau
     propagation phases exp(i lambda_k z) restored, so it composes with
     ordinary basis changes.
     """
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
+    _check_z(z)
     modes = linear_supermodes(cfg)
     eb, fb = _no_ordering_blocks(cfg, pump, modes, z)
     ph = np.exp(1j * modes.eigenvalues * z)
@@ -393,8 +399,7 @@ class FlatPumpSolution:
 
 def flat_pump_analytic(cfg: ArrayConfig, eta: complex, z: float) -> FlatPumpSolution:
     """Exact per-supermode solution for a flat pump eta (any gain regime)."""
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
+    _check_z(z)
     modes = linear_supermodes(cfg)
     lam = modes.eigenvalues
     eta = complex(eta)

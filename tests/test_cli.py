@@ -1,11 +1,13 @@
 """Tests for the command-line runners and their result records."""
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 import anwsim.optimize
+from anwsim import cli
 from anwsim import (
     GaussianState,
     PumpProfile,
@@ -650,6 +652,17 @@ class TestOracleCheck:
         assert not results["flat_pump"]
         assert 2.5 < results["no_ordering_error_slope"] < 3.5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rk4_distance_checked_before_expm(self, tmp_path, capsys):
+        """A 1e20 mm array exits 1 on RK4's step-count check, before expm can
+        overflow on it (which would raise here as a RuntimeWarning)."""
+        data = {"array": {**ARRAY, "length": 1e20}, "pump": {"amplitudes": [0.0] * 5}}
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["oracle-check", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "z must be finite, nonnegative and at most 2**53 steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_record_replays(self, tmp_path):
         """Re-running the echoed config reproduces the results block byte for byte."""
         data = {
@@ -673,6 +686,105 @@ LINEAR_VERIFY = {
     "measurement": {"lo_phases_pi": [0.0] * 5},
     "graph": {"preset": "linear"},
 }
+
+
+WRITER_SCENARIOS = {
+    "supermodes": {"array": ARRAY},
+    "propagate": {
+        "array": ARRAY,
+        "pump": LINEAR_PUMP,
+        "sweep": {"variable": "z", "start": 0.0, "stop": 30.0, "points": 7},
+    },
+    "vlf": {**LINEAR_VERIFY, "sweep": {"variable": "z", "values": [0.0, 15.0, 30.0]}},
+    "cluster": {**LINEAR_VERIFY, "optimizer": {"fitness": "FC", "generations": 0}},
+    "verify": LINEAR_VERIFY,
+    "oracle-check": {"array": ARRAY, "pump": {"amplitudes": [0.01] * 5}},
+}
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every RunOutput handed to the writer, in call order."""
+    seen = []
+    write = cli._write_outputs
+
+    def spy(out, outdir, fmt):
+        seen.append(out)
+        return write(out, outdir, fmt)
+
+    monkeypatch.setattr(cli, "_write_outputs", spy)
+    return seen
+
+
+def indent2_writer(out, outdir):
+    """The former writer: the pure-Python indent=2 encoder and csv.writer."""
+    stem = out.record.command.replace("-", "_")
+    (outdir / f"{stem}_record.json").write_text(
+        json.dumps(out.record.to_dict(), indent=2) + "\n"
+    )
+    with (outdir / f"{stem}.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
+
+
+class TestWriter:
+    """One formatting pass for the record and the CSV."""
+
+    @pytest.mark.parametrize("command", list(WRITER_SCENARIOS))
+    def test_reindent_gives_indent2_bytes(self, tmp_path, written, command):
+        """Re-indenting a record reproduces json.dumps(indent=2) of what was
+        written, and the layout keeps every scalar of a list on its line."""
+        cfg_path = write_config(tmp_path, WRITER_SCENARIOS[command])
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg_path, "--out", str(out), "--format", "csv"]) == 0
+        text = (out / f"{command.replace('-', '_')}_record.json").read_text()
+        expected = json.dumps(written[0].record.to_dict(), indent=2) + "\n"
+        assert json.dumps(json.loads(text), indent=2) + "\n" == expected
+        lines = text.splitlines()
+        assert all(line.strip()[0] in '"[]{}' for line in lines)
+        if written[0].rows is not None and command != "supermodes":
+            rows = [line for line in lines if line.startswith("      [")]
+            assert len(rows) == len(written[0].rows)
+
+    def test_csv_equals_csv_writer_bytes(self, tmp_path):
+        """Special floats: the CSV is csv.writer's bytes and the record keeps
+        each cell's value and sign through JSON's NaN/Infinity tokens."""
+        header = ["a", "b", "c"]
+        rows = [
+            [float("nan"), float("inf"), float("-inf")],
+            [-0.0, 5e-324, 1e22],
+            [0.1 + 0.2, 1.0, -2.5e-300],
+        ]
+        record = cli.ResultRecord("propagate", {}, None, {"header": header, "rows": rows})
+        cli._write_outputs(cli.RunOutput(record, "", header, rows), tmp_path, "csv")
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert (tmp_path / "propagate.csv").read_bytes() == buf.getvalue().encode()
+        text = (tmp_path / "propagate_record.json").read_text()
+        loaded = json.loads(text)
+        assert repr(loaded["results"]["rows"]) == repr(rows)
+        assert json.dumps(loaded, indent=2) == json.dumps(record.to_dict(), indent=2)
+        assert "[NaN, Infinity, -Infinity]" in text
+
+    def test_long_sweep_matches_former_writer(self, tmp_path, written):
+        """A 601-point propagate sweep gives the former writer's CSV bytes and
+        the same parsed record."""
+        data = {
+            "array": ARRAY,
+            "pump": LINEAR_PUMP,
+            "sweep": {"variable": "z", "start": 0.0, "stop": 30.0, "points": 601},
+        }
+        cfg_path = write_config(tmp_path, data)
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert run(["propagate", "--config", cfg_path, "--out", str(new), "--format", "csv"]) == 0
+        old.mkdir()
+        indent2_writer(written[0], old)
+        assert (new / "propagate.csv").read_bytes() == (old / "propagate.csv").read_bytes()
+        assert read_record(new, "propagate") == read_record(old, "propagate")
+        assert len(read_record(new, "propagate")["results"]["rows"]) == 601
 
 
 class TestStrictConfig:
@@ -816,6 +928,37 @@ class TestDriver:
         """argparse rejects unknown subcommands."""
         with pytest.raises(SystemExit):
             run(["teleport", "--config", "x.json"])
+
+    def test_parser_built_once(self, tmp_path):
+        """Successive runs in one process share one parser and write what
+        fresh parsers write, whatever the command and arguments before."""
+        cfg_path = write_config(tmp_path, WRITER_SCENARIOS["propagate"])
+        argvs = [
+            ["supermodes", "--seed", "3", "--format", "csv"],
+            ["propagate", "--parallel", "2"],
+            ["supermodes"],
+            ["propagate", "--format", "csv", "--seed", "5"],
+        ]
+
+        def run_all(tag, fresh):
+            texts = []
+            for i, argv in enumerate(argvs):
+                if fresh:
+                    cli._build_parser.cache_clear()
+                out = tmp_path / tag / str(i)
+                assert run([*argv, "--config", cfg_path, "--out", str(out)]) == 0
+                texts.append(
+                    sorted((p.name, p.read_bytes()) for p in out.iterdir())
+                )
+            return texts
+
+        shared = run_all("shared", fresh=False)
+        assert cli._build_parser() is cli._build_parser()
+        assert shared == run_all("fresh", fresh=True)
+        assert [name for name, _ in shared[0]] == ["supermodes.csv", "supermodes_record.json"]
+        with pytest.raises(SystemExit):
+            run(["teleport", "--config", cfg_path])
+        assert run(["supermodes", "--config", cfg_path, "--out", str(tmp_path / "after")]) == 0
 
     def test_version_flag(self, capsys):
         """--version prints the package version and exits."""

@@ -16,6 +16,7 @@ from anwsim import (
     min_variance,
     propagator_exact,
     propagator_no_ordering,
+    propagators,
     quad_generator,
     rk4_propagate,
     rk4_propagate_batch,
@@ -183,8 +184,25 @@ class TestPropagatorExact:
     def test_negative_distance_rejected(self):
         """z < 0 raises."""
         cfg = ArrayConfig(n=2, coupling=0.2, length=10.0)
-        with pytest.raises(ValueError, match="z must be nonnegative"):
+        with pytest.raises(ValueError, match="z must be finite and nonnegative"):
             propagator_exact(cfg, PumpProfile.off(2), -1.0)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda cfg, z: propagator_exact(cfg, PumpProfile.flat(2, 0.01), z),
+            lambda cfg, z: propagators(cfg, np.full(2, 0.01), np.zeros(2), np.array([1.0, z])),
+            lambda cfg, z: propagator_no_ordering(cfg, PumpProfile.flat(2, 0.01), z),
+            lambda cfg, z: flat_pump_analytic(cfg, 0.01, z),
+        ],
+        ids=["exact", "stacked", "no_ordering", "flat_analytic"],
+    )
+    def test_non_finite_distance_rejected(self, entry, z):
+        """NaN and +-inf raise instead of returning NaN matrices."""
+        cfg = ArrayConfig(n=2, coupling=0.2, length=10.0)
+        with pytest.raises(ValueError, match="z must be finite and nonnegative"):
+            entry(cfg, z)
 
     def test_zero_distance_identity(self):
         """z = 0 returns the identity transform on vacuum."""
