@@ -34,6 +34,7 @@ from .model import (
     ArrayConfig,
     GaussianState,
     PumpProfile,
+    covariances,
     flat_pump_analytic,
     linear_supermodes,
     propagator_exact,
@@ -90,13 +91,19 @@ def _round_trip(values) -> list:
     return np.asarray(values, dtype=float).tolist()
 
 
-def _state_summary(state: GaussianState) -> dict:
-    """Covariance plus per-mode and per-supermode squeezing levels.
+def _checked_state(cfg: ArrayConfig, pump: PumpProfile) -> GaussianState:
+    """The exact state at the end of the array.
 
     Refuses a propagator that has lost symplecticity (roundoff at very
-    high gain), so no record reports numbers taken from it.
+    high gain) or overflowed, before any number is taken from it.
     """
-    require_symplectic(state.propagator)
+    s = propagators(cfg, pump.amplitudes, pump.phases, cfg.length)
+    require_symplectic(s)
+    return GaussianState.from_propagator(cfg.length, s)
+
+
+def _state_summary(state: GaussianState) -> dict:
+    """Covariance plus per-mode and per-supermode squeezing levels."""
     mode_vars = min_variances(state.covariance)[0]
     gains = _passive_out(state.propagator)[0]
     nsm_vars = np.exp(-2.0 * gains)
@@ -156,11 +163,6 @@ def cmd_supermodes(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 # propagate
 
 
-def _covariances(s: np.ndarray) -> np.ndarray:
-    """Covariances S S^T of a stack of propagators."""
-    return s @ np.swapaxes(s, -1, -2)
-
-
 def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     scn.require("pump")
     cfg = scn.array.array_config()
@@ -177,7 +179,7 @@ def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     require_symplectic(t)
     s = propagators(cfg, pump.amplitudes, pump.phases, grid)
     require_symplectic(s)
-    cov = _covariances(s)
+    cov = covariances(s)
     sm_var = min_variances(t @ cov @ t.T)[0]
     nsm_var = np.exp(-2.0 * _passive_out(s)[0])
     var = np.concatenate([min_variances(cov)[0], sm_var, nsm_var], axis=1)
@@ -230,6 +232,7 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         if not np.allclose(pump.amplitudes, pump.amplitudes[0]):
             raise ConfigError("vlf: optimized runs use a flat pump amplitude")
         seed = o.seed if seed is None else seed
+        restarts = {} if o.restarts is None else {"restarts": o.restarts}
         rows_rho = []
         for v in grid:
             z, eta = (v, float(pump.amplitudes[0])) if variable == "z" else (cfg.length, v)
@@ -241,9 +244,9 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 seed=seed,
                 generations=o.generations,
                 sigma0=o.sigma0,
-                restarts=o.restarts if o.restarts is not None else 4,
                 population=o.population,
                 parents=o.parents,
+                **restarts,
             )
             rows_rho.append(res.rho)
     else:
@@ -257,7 +260,7 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         require_symplectic(s)
         theta = scn.measurement.lo_phases()
         gains = scn.measurement.gain_vector(n)
-        rows_rho = vlf_values_batch(_covariances(s), theta, gains)
+        rows_rho = vlf_values_batch(covariances(s), theta, gains)
 
     col0 = "z_mm" if variable == "z" else "eta_per_mm"
     header = [col0] + [f"rho_{i}" for i in range(1, n)] + ["rho_sum"]
@@ -300,12 +303,13 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         raise ConfigError("cluster: optimizer.fitness must be 'FC' or 'FP'")
 
     search, tail = None, {}
+    restarts = {} if opt.restarts is None else {"restarts": opt.restarts}
     if opt.generations == 0:
         # forward evaluation at the configured pump and detection setting
         scn.require("pump", "measurement")
         pump = scn.pump.pump_profile()
         theta = scn.measurement.lo_phases()
-        state = propagator_exact(cfg, pump, cfg.length)
+        state = _checked_state(cfg, pump)
         report = certify(state, graph, theta)
         fields = {"lo_phases_pi": _round_trip(theta / np.pi), "report": _report_dict(report)}
         s = float(report.nullifier_variances.sum())
@@ -320,12 +324,12 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 cfg.length,
                 graph,
                 seed=eff_seed,
-                restarts=opt.restarts if opt.restarts is not None else 5,
                 generations=opt.generations,
                 parents=opt.parents,
                 population=opt.population,
                 eta_max=opt.eta_max,
                 target=opt.target,
+                **restarts,
             )
             fields = {
                 "lo_phases_pi": _round_trip(syn.lo_phases / np.pi),
@@ -342,12 +346,12 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 cfg.length,
                 graph,
                 seed=eff_seed,
-                restarts=opt.restarts if opt.restarts is not None else 6,
                 generations=opt.generations,
                 eta_max=opt.eta_max,
                 target=opt.target,
                 population=opt.population,
                 parents=opt.parents,
+                **restarts,
             )
             fields = {
                 "mixing_euler_pi": _round_trip(syn.mixing_euler / np.pi),
@@ -366,7 +370,7 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 f"sum of cluster-basis variances {s:.4f}"
             )
         pump, search = syn.pump, syn.optimization
-        state = propagator_exact(cfg, pump, cfg.length)
+        state = _checked_state(cfg, pump)
 
     results = {
         "mode": "forward" if search is None else "synthesis",
@@ -401,7 +405,7 @@ def cmd_verify(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     graph = scn.graph.graph_spec()
     theta = scn.measurement.lo_phases()
     gains = scn.measurement.gain_vector(cfg.n)
-    state = propagator_exact(cfg, pump, cfg.length)
+    state = _checked_state(cfg, pump)
     report = certify(state, graph, theta, gains=gains)
     results = {"report": _report_dict(report), "state": _state_summary(state)}
     record = ResultRecord("verify", scn.to_dict(), seed, results)

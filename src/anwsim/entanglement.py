@@ -10,9 +10,11 @@ noise and every bound pair is violated.
 
 Graphs are specified by a 0/1 adjacency matrix over nodes plus a labeling
 that assigns each node to a physical mode. The five built-in 5-node
-presets carry hand-derived nullifier substitutions and bound tables; the
-GHZ preset shares the star adjacency, its nullifiers being the star set
-seen through a pi/2 LO rotation on every mode but the center.
+presets are the only special cases, and each is stated once here: their
+bound tables, the pyramid's substituted nullifiers, and the GHZ preset,
+which is the star seen through a pi/2 LO shift on every mode but the
+centre's (its rows, bounds and search all derive from the star's). A
+graph keyed by a preset's name must have that preset's adjacency.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "PRESETS",
     "GraphSpec",
     "graph_preset",
+    "search_equivalent",
+    "inseparability_bounds",
     "CertificationReport",
     "ClusterTransform",
     "vlf_rows",
@@ -50,8 +54,17 @@ _PRESET_EDGES = {
     "star": ((1, 3), (2, 3), (4, 3), (5, 3)),
     # square base 1-2-4-5 with apex 3 connected to every base corner
     "pyramid": ((1, 2), (2, 4), (4, 5), (5, 1), (1, 3), (2, 3), (4, 3), (5, 3)),
-    "ghz": ((1, 3), (2, 3), (4, 3), (5, 3)),
 }
+
+# presets that are another preset seen through a pi/2 LO shift on every
+# node but the centre (the node joined to all others): they share its
+# adjacency, bounds and search
+_SHIFTED = {"ghz": "star"}
+
+# opposite base corners of the pyramid share their neighbor set, so their
+# nullifier differences reduce to bare y differences: (node, reference)
+# pairs, 0-based, whose nullifiers are substituted
+_SUBSTITUTED = {"pyramid": ((3, 0), (4, 1))}
 
 # sharp inseparability bounds on V(d_i) + V(d_j) for the preset nullifiers,
 # keyed by 1-based node pairs
@@ -64,9 +77,16 @@ _PRESET_BOUNDS = {
     ),
     "pentagon": tuple(((i, i + 1), 4.0 / 3.0) for i in range(1, 5)),
     "star": tuple(((i, 3), np.sqrt(8.0 / 5.0)) for i in (1, 2, 4, 5)),
-    "ghz": tuple(((i, 3), np.sqrt(8.0 / 5.0)) for i in (1, 2, 4, 5)),
     "pyramid": (((4, 3), np.sqrt(8.0 / 5.0)), ((5, 3), np.sqrt(8.0 / 5.0))),
 }
+
+
+def _preset_adjacency(name: str) -> np.ndarray:
+    """The 5-node adjacency of a preset; a shifted one has its base's."""
+    j = np.zeros((5, 5))
+    for a, b in _PRESET_EDGES[_SHIFTED.get(name, name)]:
+        j[a - 1, b - 1] = j[b - 1, a - 1] = 1.0
+    return j
 
 
 @dataclass(frozen=True)
@@ -75,7 +95,8 @@ class GraphSpec:
 
     ``adjacency`` is the symmetric 0/1 matrix J with zero diagonal;
     ``labeling`` maps node k (0-based position) to the 1-based physical
-    mode labeling[k], identity by default.
+    mode labeling[k], identity by default. A preset's name selects its
+    nullifiers and bounds, so it is refused on any other adjacency.
     """
 
     adjacency: np.ndarray
@@ -93,6 +114,11 @@ class GraphSpec:
         lab = np.arange(1, n + 1) if lab is None else np.asarray(lab, dtype=int)
         if sorted(lab.tolist()) != list(range(1, n + 1)):
             raise ValueError(f"labeling must be a permutation of 1..{n}, got {lab}")
+        if self.name in PRESETS and not np.array_equal(j, _preset_adjacency(self.name)):
+            raise ValueError(
+                f"graph name {self.name!r} belongs to the preset of that name; "
+                "give a custom adjacency another name"
+            )
         object.__setattr__(self, "adjacency", j)
         object.__setattr__(self, "labeling", lab)
 
@@ -109,33 +135,62 @@ def graph_preset(name: str) -> GraphSpec:
     """One of the five built-in 5-node graphs."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}, expected one of {PRESETS}")
-    j = np.zeros((5, 5))
-    for a, b in _PRESET_EDGES[name]:
-        j[a - 1, b - 1] = j[b - 1, a - 1] = 1.0
-    return GraphSpec(adjacency=j, name=name)
+    return GraphSpec(adjacency=_preset_adjacency(name), name=name)
+
+
+def _shifted_nodes(graph: GraphSpec) -> np.ndarray:
+    """Mask of the nodes a shifted preset sees through the pi/2 LO shift:
+    all but the centre."""
+    return np.arange(graph.n) != np.argmax(graph.degrees)
+
+
+def search_equivalent(graph: GraphSpec) -> tuple[GraphSpec, np.ndarray | None]:
+    """The graph a nullifier search minimizes in place of ``graph``, and the
+    per-mode LO phase shift that carries its optimum's LO phases back.
+
+    A shifted preset (GHZ) is searched as its base preset (the star) under
+    the same labeling, and its LO phases are the base's plus pi/2 on every
+    mode but the centre's. Any other graph is searched as itself, with no
+    shift (None).
+    """
+    if graph.name not in _SHIFTED:
+        return graph, None
+    base = GraphSpec(graph.adjacency, name=_SHIFTED[graph.name], labeling=graph.labeling)
+    shift = np.zeros(graph.n)
+    shift[graph.labeling[_shifted_nodes(graph)] - 1] = np.pi / 2.0
+    return base, shift
+
+
+def inseparability_bounds(graph: GraphSpec) -> tuple[tuple[tuple[int, int], float], ...]:
+    """The preset bound table of ``graph`` as ((node_i, node_j), bound)
+    pairs; refuses a graph with no known bounds."""
+    name = _SHIFTED.get(graph.name, graph.name)
+    if name not in _PRESET_BOUNDS:
+        raise ValueError(
+            f"no inseparability bounds known for graph {graph.name!r}; "
+            "pass them explicitly"
+        )
+    return _PRESET_BOUNDS[name]
 
 
 def _node_rows(graph: GraphSpec) -> np.ndarray:
     """Normalized nullifier coefficient rows in node ordering, (n, 2n)."""
-    j = graph.adjacency
     n = graph.n
+    if graph.name in _SHIFTED:
+        # the base preset's rows with the pi/2 LO shift pulled onto the
+        # coefficients of each shifted node, (c_x, c_y) -> (c_y, -c_x): that
+        # is c_x cos + c_y sin and c_y cos - c_x sin at the exact quarter turn
+        x, y = np.hsplit(_node_rows(search_equivalent(graph)[0]), 2)
+        s = _shifted_nodes(graph).astype(float)
+        return np.concatenate([x * (1.0 - s) + y * s, y * (1.0 - s) - x * s], axis=1)
     rows = np.zeros((n, 2 * n))
-    rows[:, :n] = -j
+    rows[:, :n] = -graph.adjacency
     rows[:, n:] = np.eye(n)
     rows /= np.sqrt(1.0 + graph.degrees)[:, None]
-    if graph.name == "pyramid":
-        # opposite base corners share their neighbor set, so the nullifier
-        # differences reduce to bare y differences
-        for i, ref in ((3, 0), (4, 1)):
-            rows[i] = 0.0
-            rows[i, n + i] = 1.0 / np.sqrt(2.0)
-            rows[i, n + ref] = -1.0 / np.sqrt(2.0)
-    elif graph.name == "ghz":
-        rows[:] = 0.0
-        for i in (0, 1, 3, 4):
-            rows[i, i] = 1.0 / np.sqrt(2.0)
-            rows[i, 2] = -1.0 / np.sqrt(2.0)
-        rows[2, n:] = 1.0 / np.sqrt(5.0)
+    for i, ref in _SUBSTITUTED.get(graph.name, ()):
+        rows[i] = 0.0
+        rows[i, n + i] = 1.0 / np.sqrt(2.0)
+        rows[i, n + ref] = -1.0 / np.sqrt(2.0)
     return rows
 
 
@@ -259,12 +314,7 @@ def certify(
     theta = _lo_phases(graph.n, lo_phases)
     g = np.zeros(graph.n) if gains is None else np.asarray(gains, dtype=float)
     if bounds is None:
-        if graph.name not in _PRESET_BOUNDS:
-            raise ValueError(
-                f"no inseparability bounds known for graph {graph.name!r}; "
-                "pass them explicitly"
-            )
-        bounds = _PRESET_BOUNDS[graph.name]
+        bounds = inseparability_bounds(graph)
     variances = quadrature_variances(state.covariance, nullifier_rows(graph), theta)
     pairs = tuple(pair for pair, _ in bounds)
     sums = np.array([variances[a - 1] + variances[b - 1] for a, b in pairs])
@@ -298,12 +348,17 @@ class ClusterTransform:
         return self.x_block + 1j * self.y_block
 
 
+def _jj_eigh(graph: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of J^2 + I."""
+    j = graph.adjacency
+    return np.linalg.eigh(j @ j + np.eye(graph.n))
+
+
 def cluster_transform(graph: GraphSpec) -> ClusterTransform:
     """Symmetric cluster transform with X_s = (J^2 + I)^(-1/2), Y_s = J X_s."""
-    j = graph.adjacency
-    w, p = np.linalg.eigh(j @ j + np.eye(graph.n))
+    w, p = _jj_eigh(graph)
     xs = (p / np.sqrt(w)) @ p.T
-    return ClusterTransform(x_block=xs, y_block=j @ xs)
+    return ClusterTransform(x_block=xs, y_block=graph.adjacency @ xs)
 
 
 def emulation_error(
@@ -352,12 +407,10 @@ def cluster_nullifier_variances(
     """
     r = np.asarray(gains, dtype=float)
     o = np.asarray(mixing, dtype=float)
-    j = graph.adjacency
-    wv, p = np.linalg.eigh(j @ j + np.eye(graph.n))
+    wv, p = _jj_eigh(graph)
     b = (p * np.sqrt(wv)) @ p.T
     w = b @ o @ np.diag(np.exp(-2.0 * r)) @ o.T @ b
     var = np.diag(w) / (1.0 + graph.degrees)
-    if graph.name == "pyramid":
-        for i, ref in ((3, 0), (4, 1)):
-            var[i] = 0.5 * (w[i, i] + w[ref, ref] - 2.0 * w[i, ref])
+    for i, ref in _SUBSTITUTED.get(graph.name, ()):
+        var[i] = 0.5 * (w[i, i] + w[ref, ref] - 2.0 * w[i, ref])
     return var

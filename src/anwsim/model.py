@@ -30,6 +30,7 @@ __all__ = [
     "linear_supermodes",
     "quad_generator",
     "propagators",
+    "covariances",
     "propagator_exact",
     "integrated_L",
     "propagator_no_ordering",
@@ -180,7 +181,7 @@ class GaussianState:
 
     @classmethod
     def from_propagator(cls, z: float, s: np.ndarray, basis: str = "individual"):
-        return cls(z=float(z), propagator=s, covariance=s @ s.T, basis=basis)
+        return cls(z=float(z), propagator=s, covariance=covariances(s), basis=basis)
 
     @property
     def n(self) -> int:
@@ -265,6 +266,11 @@ def propagators(
     """
     amp, ph = _pump_arrays(amplitudes, phases)
     return _propagate(cfg, amp, ph, z)
+
+
+def covariances(s: np.ndarray) -> np.ndarray:
+    """Covariances V = S S^T of a (..., 2N, 2N) stack of propagators."""
+    return s @ np.swapaxes(s, -1, -2)
 
 
 def _check_z(z: float | np.ndarray) -> np.ndarray:

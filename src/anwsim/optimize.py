@@ -28,12 +28,21 @@ from .entanglement import (
     cluster_nullifier_variances,
     cluster_transform,
     emulation_error,
+    inseparability_bounds,
     nullifier_rows,
+    search_equivalent,
     vlf_values,
     vlf_values_batch,
 )
 from .measurement import quadrature_variances
-from .model import ArrayConfig, GaussianState, PumpProfile, propagator_exact, propagators
+from .model import (
+    ArrayConfig,
+    GaussianState,
+    PumpProfile,
+    covariances,
+    propagator_exact,
+    propagators,
+)
 from .symplectic import (
     _passive_out,
     bloch_messiah,
@@ -277,14 +286,6 @@ def fitness_FM(state: GaussianState, lo_phases: np.ndarray, gains: np.ndarray) -
     return float(vlf_values(state, lo_phases, gains).sum())
 
 
-def _covariances(
-    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float
-) -> np.ndarray:
-    """Covariances S S^T of the states of (..., N) pumps."""
-    s = propagators(cfg, amplitudes, phases, z)
-    return s @ np.swapaxes(s, -1, -2)
-
-
 def _nullifier_sums(
     cfg: ArrayConfig,
     z: float,
@@ -294,7 +295,7 @@ def _nullifier_sums(
     lo_phases: np.ndarray,
 ) -> np.ndarray:
     """Summed nullifier variances over (..., N) pump and LO arrays."""
-    v = _covariances(cfg, amplitudes, phases, z)
+    v = covariances(propagators(cfg, amplitudes, phases, z))
     return quadrature_variances(v, rows, lo_phases).sum(axis=-1)
 
 
@@ -490,7 +491,7 @@ def optimize_vlf(
         def fit(p: np.ndarray) -> np.ndarray:
             p = np.asarray(p, dtype=float)
             phi = pump_phases(p)
-            v = _covariances(cfg, np.full(phi.shape, amplitude), phi, z)
+            v = covariances(propagators(cfg, np.full(phi.shape, amplitude), phi, z))
             return vlf_values_batch(v, p[..., :n], p[..., n : 2 * n]).sum(axis=-1)
 
         space = ParameterSpace(kinds=("angle",) * n + ("gain",) * n + ("angle",) * (n - 1))
@@ -583,16 +584,16 @@ def synthesize_cluster(
     optima, so the first restart is seeded from a coarse flat-pump grid
     scan with a tight step size, and later restarts draw random starting
     points with a wide angular step. Stops as soon as the target total
-    variance is reached. The GHZ preset is searched as its star
-    equivalent and returned with the LO phases rotated by pi/2 on every
-    mode but the center.
+    variance is reached. The graph is searched as its search_equivalent,
+    whose LO phase shift carries the optimum back. Raises ValueError
+    before searching when the graph has no known inseparability bounds.
     """
     n = cfg.n
+    bounds = inseparability_bounds(graph)
     es = ESConfig(
         population=population, parents=parents, max_generations=generations, target=target
     )
-    ghz = graph.name == "ghz"
-    spec = GraphSpec(graph.adjacency, name="star", labeling=graph.labeling) if ghz else graph
+    spec, shift = search_equivalent(graph)
     problem = cluster_problem(cfg, z, spec, eta_max=eta_max)
     rng = np.random.default_rng(seed)
 
@@ -617,15 +618,15 @@ def synthesize_cluster(
     )
     pump = PumpProfile(best.parameters[:n], best.parameters[n : 2 * n])
     theta = best.parameters[2 * n :]
-    if ghz:
-        theta = _wrap_angle(theta + np.where(np.arange(n) == 2, 0.0, np.pi / 2.0))
+    if shift is not None:
+        theta = _wrap_angle(theta + shift)
     state = propagator_exact(cfg, pump, z)
     return ClusterSynthesis(
         graph=graph.name,
         optimization=best,
         pump=pump,
         lo_phases=theta,
-        report=certify(state, graph, theta),
+        report=certify(state, graph, theta, bounds=bounds),
         restarts_used=used,
     )
 

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 SYMPLECTIC_TOL = 1e-10
+# largest asymmetry ||W - W^T||_inf that takagi accepts, relative to the
+# size of the largest entry
+_TAKAGI_TOL = 1e-12
+# floor of the symplecticity tolerance bloch_messiah applies to its input
+_BLOCH_MESSIAH_TOL = 1e-8
 
 
 def omega(n: int) -> np.ndarray:
@@ -44,7 +49,9 @@ def _defects(s: np.ndarray) -> np.ndarray:
     """Max-abs deviation of S Omega S^T from Omega, per slice of a stack."""
     n = s.shape[-1] // 2
     om = omega(n)
-    return np.abs(s @ om @ np.swapaxes(s, -1, -2) - om).max(axis=(-2, -1))
+    # an overflowed matrix gives inf or nan here, which require_symplectic refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(s @ om @ np.swapaxes(s, -1, -2) - om).max(axis=(-2, -1))
 
 
 def symplectic_error(s: np.ndarray) -> float:
@@ -76,12 +83,15 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square real or complex matrix.
 
     A (..., m, m) stack is exponentiated slice by slice; each slice equals
-    the exponential of that matrix alone, bit for bit.
+    the exponential of that matrix alone, bit for bit. An exponential
+    too large for floats comes back with inf or nan entries, without a
+    warning; require_symplectic refuses such a propagator.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square in its last two axes, got shape {a.shape}")
-    return expm(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return expm(a)
 
 
 @dataclass(frozen=True)
@@ -100,26 +110,20 @@ class TakagiFactorization:
         return u.conj().T @ np.diag(self.values) @ u.conj()
 
 
-def takagi(w: np.ndarray, tol: float = 1e-12) -> TakagiFactorization:
-    """Factor a complex symmetric matrix as U W U^T = diag(values) >= 0.
+def takagi(w: np.ndarray) -> TakagiFactorization:
+    """Factor a complex symmetric (n, n) matrix as U W U^T = diag(values) >= 0.
 
-    The one-matrix case of the stacked factorization (see _takagi).
-
-    Parameters
-    ----------
-    w : (n, n) array_like, complex symmetric
-    tol : float
-        Maximum allowed asymmetry ||W - W^T||_inf relative to the size
-        of the largest entry.
+    The one-matrix case of the stacked factorization (see _takagi); a
+    matrix whose asymmetry exceeds _TAKAGI_TOL is refused.
     """
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2:
         raise ValueError(f"matrix must be square, got shape {w.shape}")
-    values, u = _takagi(w, tol)
+    values, u = _takagi(w)
     return TakagiFactorization(unitary=u, values=values)
 
 
-def _takagi(w: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _takagi(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Takagi values (..., n) and unitaries U (..., n, n) of a stack of
     complex symmetric matrices, slice by slice as takagi.
 
@@ -137,7 +141,7 @@ def _takagi(w: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     w = w.reshape((-1, n, n))
     wt = w.transpose(0, 2, 1)
     asym = np.abs(w - wt).max(axis=(1, 2))
-    allowed = tol * np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
+    allowed = _TAKAGI_TOL * np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
     if np.any(asym > allowed):
         k = int(np.argmax(asym > allowed))
         raise ValueError(
@@ -196,17 +200,11 @@ class BlochMessiahFactorization:
         r = self.gains
         return np.diag(np.concatenate([np.exp(r), np.exp(-r)]))
 
-    @property
-    def squeezer_spectrum(self) -> np.ndarray:
-        """Diagonal of K^2 = diag(e^{2r}, e^{-2r})."""
-        r = self.gains
-        return np.concatenate([np.exp(2 * r), np.exp(-2 * r)])
-
     def reconstruct(self) -> np.ndarray:
         return self.passive_out @ self.squeezer @ self.passive_in
 
 
-def bloch_messiah(s: np.ndarray, tol: float = 1e-8) -> BlochMessiahFactorization:
+def bloch_messiah(s: np.ndarray) -> BlochMessiahFactorization:
     """Decompose a symplectic matrix into passive, squeezer and passive factors.
 
     The x quadratures carry the antisqueezing (e^{+r}) and the y quadratures
@@ -214,7 +212,7 @@ def bloch_messiah(s: np.ndarray, tol: float = 1e-8) -> BlochMessiahFactorization
     of the underlying congruence diagonalization.
     """
     s = np.asarray(s, dtype=float)
-    r, w_out = _passive_out(s, tol)
+    r, w_out = _passive_out(s)
     e, _ = symplectic_to_bogoliubov(s)
     cosh_inv = np.diag(1.0 / np.cosh(r))
     v_in = cosh_inv @ w_out.conj().T @ e
@@ -227,16 +225,18 @@ def bloch_messiah(s: np.ndarray, tol: float = 1e-8) -> BlochMessiahFactorization
     return BlochMessiahFactorization(passive_out=r1, gains=r, passive_in=r2)
 
 
-def _passive_out(s: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def _passive_out(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Output side of bloch_messiah over a (..., 2N, 2N) stack.
 
     Returns the gains (..., N) and the complex form W_out (..., N, N) of
     R1 = unitary_to_symplectic(W_out). Every slice must pass bloch_messiah's
-    symplecticity check, max(tol, 1e-10 max(1, max|S|^2)) of its own.
+    symplecticity check, max(_BLOCH_MESSIAH_TOL, SYMPLECTIC_TOL max(1,
+    max|S|^2)) of its own.
     """
     s = np.asarray(s, dtype=float)
     peak = np.abs(s).max(axis=(-2, -1))
-    require_symplectic(s, tol=np.maximum(tol, SYMPLECTIC_TOL * np.maximum(1.0, peak**2)))
+    limit = SYMPLECTIC_TOL * np.maximum(1.0, peak**2)
+    require_symplectic(s, tol=np.maximum(_BLOCH_MESSIAH_TOL, limit))
     e, f = symplectic_to_bogoliubov(s)
     # E F^T is complex symmetric with singular values sinh(2r)/2
     values, u = _takagi(e @ np.swapaxes(f, -1, -2))

@@ -511,6 +511,36 @@ class TestCluster:
         assert run(["cluster", "--config", cfg_path, "--out", str(tmp_path)]) == 1
         assert "anwsim: error: optimizer: restarts must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, driver, fitness",
+        [
+            ("cluster", "synthesize_cluster", "FC"),
+            ("cluster", "synthesize_emulation", "FP"),
+            ("vlf", "optimize_vlf", "FM"),
+        ],
+    )
+    def test_unset_restarts_left_to_driver(
+        self, tmp_path, capsys, monkeypatch, command, driver, fitness
+    ):
+        """Without optimizer.restarts the driver's own default applies: the
+        command passes no restart count."""
+        seen = {}
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            raise ValueError("driver reached")
+
+        monkeypatch.setattr(cli, driver, spy)
+        data = {
+            **LINEAR_VERIFY,
+            "pump": {"amplitudes": [0.01] * 5},
+            "optimizer": {"fitness": fitness, "generations": 1},
+        }
+        cfg_path = write_config(tmp_path, data)
+        assert run([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        assert "driver reached" in capsys.readouterr().err
+        assert "generations" in seen and "restarts" not in seen
+
     def test_rejects_fm(self, tmp_path, capsys):
         """The cluster command refuses the VLF objective."""
         data = {
@@ -568,6 +598,46 @@ class TestVerify:
         out = tmp_path / "out"
         assert run([command, "--config", cfg_path, "--out", str(out)]) == 1
         assert "anwsim: error: matrix is not symplectic: deviation" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["ghz", "pyramid"])
+    def test_preset_name_on_small_graph_exits_one(self, tmp_path, capsys, name):
+        """A 3-node adjacency named after a 5-node preset is refused with a
+        message, not a traceback."""
+        data = {
+            "array": {**ARRAY, "n": 3},
+            "pump": {"amplitudes": [0.05] * 3},
+            "measurement": {"lo_phases_pi": [0.0] * 3},
+            "graph": {"adjacency": [[0, 1, 0], [1, 0, 1], [0, 1, 0]], "name": name},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg_path, "--out", str(out)]) == 1
+        assert f"anwsim: error: graph name '{name}' belongs to the preset" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "propagate"])
+    @pytest.mark.parametrize(
+        "length, amplitude", [(1e20, 0.0), (3000.0, 0.1)], ids=["zero_pump", "flat_pump"]
+    )
+    def test_overflow_refused_without_warning(
+        self, tmp_path, capsys, command, length, amplitude
+    ):
+        """An overflowed propagator is refused as not finite; numpy's
+        overflow warnings (errors under this suite's filter) never fire."""
+        data = {
+            **LINEAR_VERIFY,
+            "array": {**ARRAY, "length": length},
+            "pump": {"amplitudes": [amplitude] * 5},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg_path, "--out", str(out)]) == 1
+        assert "anwsim: error: matrix is not symplectic: it is not finite" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_missing_section_exits_one(self, tmp_path, capsys):

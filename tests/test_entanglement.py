@@ -19,9 +19,11 @@ from anwsim import (
     emulation_error,
     euler_orthogonal,
     graph_preset,
+    nullifier_rows,
     nullifiers_for,
     omega,
     propagator_exact,
+    search_equivalent,
     vlf_values,
 )
 from anwsim.symplectic import bloch_messiah
@@ -124,6 +126,21 @@ class TestGraphSpec:
         """The pyramid apex (node 3) touches all four base corners."""
         assert np.array_equal(graph_preset("pyramid").degrees, [3, 3, 4, 3, 3])
 
+    @pytest.mark.parametrize("name", ["pyramid", "ghz"])
+    def test_preset_name_needs_preset_adjacency(self, name):
+        """A preset's name keys its nullifiers and bounds, so another
+        adjacency (a 5-node chain, or a 3-node path) may not take it."""
+        chain = graph_preset("linear").adjacency
+        path = chain[:3, :3]
+        for j in (chain, path):
+            with pytest.raises(ValueError, match=f"graph name '{name}' belongs to the preset"):
+                GraphSpec(j, name=name)
+
+    def test_custom_name_on_preset_adjacency(self):
+        """A non-preset name on a preset's adjacency is an ordinary custom graph."""
+        g = GraphSpec(graph_preset("star").adjacency, name="custom")
+        assert g.name == "custom"
+
     def test_ghz_shares_star_adjacency(self):
         """The GHZ preset is the star graph with substituted nullifiers."""
         assert np.array_equal(
@@ -163,6 +180,18 @@ class TestNullifiers:
         assert np.allclose(combs[0].coefficients, expected, atol=1e-12, rtol=0)
         total_y = np.concatenate([np.zeros(5), np.full(5, 1.0 / np.sqrt(5))])
         assert np.allclose(combs[2].coefficients, total_y, atol=1e-12, rtol=0)
+
+    def test_ghz_rows_pinned(self):
+        """The GHZ rows derived from the star's equal the hand-written
+        x_i - x_3 differences and total y sum, bit for bit."""
+        rows = np.zeros((5, 10))
+        for i in (0, 1, 3, 4):
+            rows[i, i] = 1.0 / np.sqrt(2.0)
+            rows[i, 2] = -1.0 / np.sqrt(2.0)
+        rows[2, 5:] = 1.0 / np.sqrt(5.0)
+        derived = nullifier_rows(graph_preset("ghz"))
+        assert np.array_equal(derived, rows)
+        assert derived.tobytes() == rows.tobytes()
 
     def test_lo_phase_shape_validation(self):
         """The LO phase vector must match the node count."""
@@ -338,6 +367,28 @@ class TestGhzStarEquivalence:
         )
         assert np.allclose(ghz.bound_sums, star.bound_sums, atol=0, rtol=1e-10)
         assert np.allclose(ghz.bounds, star.bounds, atol=1e-14, rtol=0)
+
+    def test_labeling_moves_the_unshifted_mode(self, linear_state):
+        """With the centre node on mode 2, mode 2 is the one left unshifted,
+        and the GHZ variances at the shifted phases are the star's."""
+        labeling = np.array([3, 1, 2, 4, 5])
+        adjacency = graph_preset("ghz").adjacency
+        ghz = GraphSpec(adjacency, name="ghz", labeling=labeling)
+        star, shift = search_equivalent(ghz)
+        assert star.name == "star"
+        assert np.array_equal(star.labeling, labeling)
+        assert np.array_equal(shift, np.where(np.arange(5) == 1, 0.0, np.pi / 2))
+        theta = np.linspace(-1.0, 1.0, 5)
+        base = certify(linear_state, star, theta)
+        moved = certify(linear_state, ghz, theta + shift)
+        assert np.allclose(
+            moved.nullifier_variances, base.nullifier_variances, atol=0, rtol=1e-10
+        )
+
+    def test_other_graphs_search_as_themselves(self):
+        """Only a shifted preset has a search equivalent other than itself."""
+        g = graph_preset("pyramid")
+        assert search_equivalent(g) == (g, None)
 
 
 class TestClusterTransform:

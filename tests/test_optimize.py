@@ -12,6 +12,7 @@ from anwsim import (
     ESConfig,
     ETA_MAX,
     GAIN_LIMIT,
+    GraphSpec,
     OptimizationProblem,
     ParameterSpace,
     PumpProfile,
@@ -412,6 +413,27 @@ class TestSynthesizeCluster:
             restarts=3, generations=2, parents=4, population=16, target=1e3,
         )
         assert syn.restarts_used == 1
+
+    def test_relabeled_ghz_reports_its_fitness(self, cfg5):
+        """A labeling that moves the GHZ centre moves the unshifted LO mode
+        with it, so the certified variances sum to the search fitness."""
+        graph = GraphSpec(graph_preset("ghz").adjacency, name="ghz", labeling=(3, 1, 2, 4, 5))
+        syn = synthesize_cluster(
+            cfg5, 30.0, graph, seed=41, restarts=1, generations=20, parents=10, population=100
+        )
+        assert np.isclose(syn.total_variance, syn.optimization.fitness, atol=0, rtol=1e-9)
+
+    def test_graph_without_bounds_refused_before_search(self, cfg5, monkeypatch):
+        """A custom graph has no bound table to certify against, so it is
+        refused before any search runs."""
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(optimize, "_multistart", no_search)
+        graph = GraphSpec(graph_preset("linear").adjacency, name="chain")
+        with pytest.raises(ValueError, match="no inseparability bounds known"):
+            synthesize_cluster(cfg5, 30.0, graph, restarts=2, generations=30)
 
     def test_ghz_rides_on_star(self, cfg5):
         """GHZ synthesis reuses the star run with rotated detector phases."""

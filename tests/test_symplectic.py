@@ -16,6 +16,7 @@ from anwsim import (
     omega,
     orthogonal_to_euler,
     propagator_exact,
+    propagators,
     require_symplectic,
     symplectic_error,
     symplectic_to_bogoliubov,
@@ -114,6 +115,16 @@ class TestMatExp:
             mat_exp(np.zeros((4, 2, 3)))
         with pytest.raises(ValueError, match="matrix must be square"):
             mat_exp(np.zeros(3))
+
+    def test_overflow_is_quiet_and_refused(self):
+        """The unpumped 5-guide propagator over 1e20 mm overflows expm's
+        squaring without a numpy warning (an error under this suite's
+        filter), and the non-finite result is refused."""
+        cfg = ArrayConfig(n=5, coupling=0.24, length=30.0)
+        s = propagators(cfg, np.zeros(5), np.zeros(5), 1e20)
+        assert not np.isfinite(s).all()
+        with pytest.raises(ValueError, match="not finite"):
+            require_symplectic(s)
 
     def test_stack_equals_slices(self):
         """A (..., m, m) stack exponentiates each slice bit for bit."""
