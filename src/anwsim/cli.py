@@ -34,6 +34,7 @@ from .model import (
     ArrayConfig,
     GaussianState,
     PumpProfile,
+    _check_rk4,
     covariances,
     flat_pump_analytic,
     linear_supermodes,
@@ -89,17 +90,6 @@ class RunOutput:
 def _round_trip(values) -> list:
     """Plain JSON-safe floats (handles numpy scalars and arrays)."""
     return np.asarray(values, dtype=float).tolist()
-
-
-def _checked_state(cfg: ArrayConfig, pump: PumpProfile) -> GaussianState:
-    """The exact state at the end of the array.
-
-    Refuses a propagator that has lost symplecticity (roundoff at very
-    high gain) or overflowed, before any number is taken from it.
-    """
-    s = propagators(cfg, pump.amplitudes, pump.phases, cfg.length)
-    require_symplectic(s)
-    return GaussianState.from_propagator(cfg.length, s)
 
 
 def _state_summary(state: GaussianState) -> dict:
@@ -309,7 +299,7 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         scn.require("pump", "measurement")
         pump = scn.pump.pump_profile()
         theta = scn.measurement.lo_phases()
-        state = _checked_state(cfg, pump)
+        state = propagator_exact(cfg, pump, cfg.length)
         report = certify(state, graph, theta)
         fields = {"lo_phases_pi": _round_trip(theta / np.pi), "report": _report_dict(report)}
         s = float(report.nullifier_variances.sum())
@@ -369,8 +359,7 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 f"{graph.name}: F_P synthesis, emulation error {syn.fp:.3e}, "
                 f"sum of cluster-basis variances {s:.4f}"
             )
-        pump, search = syn.pump, syn.optimization
-        state = _checked_state(cfg, pump)
+        pump, state, search = syn.pump, syn.state, syn.optimization
 
     results = {
         "mode": "forward" if search is None else "synthesis",
@@ -405,7 +394,7 @@ def cmd_verify(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     graph = scn.graph.graph_spec()
     theta = scn.measurement.lo_phases()
     gains = scn.measurement.gain_vector(cfg.n)
-    state = _checked_state(cfg, pump)
+    state = propagator_exact(cfg, pump, cfg.length)
     report = certify(state, graph, theta, gains=gains)
     results = {"report": _report_dict(report), "state": _state_summary(state)}
     record = ResultRecord("verify", scn.to_dict(), seed, results)
@@ -438,19 +427,21 @@ def cmd_oracle_check(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
     z = cfg.length
-    # RK4 first: its step-count check refuses a distance expm cannot reach
-    rk4 = rk4_propagate(cfg, pump, z)
+    # RK4's step-count check refuses a distance expm cannot reach; the
+    # exact propagator then refuses an overflowed or non-symplectic S
+    # before RK4 takes a covariance of its own
+    _check_rk4(z)
     exact = propagator_exact(cfg, pump, z)
+    rk4 = rk4_propagate(cfg, pump, z)
     results: dict = {
         "exact_vs_rk4": float(np.abs(exact.propagator - rk4.propagator).max()),
         "symplectic_defect": symplectic_error(exact.propagator),
     }
-    amps = np.asarray(pump.amplitudes)
+    amps = pump.amplitudes
     flat = bool(
-        amps.size > 0
-        and np.allclose(amps, amps[0])
+        np.allclose(amps, amps[0])
         and np.allclose(pump.phases, pump.phases[0])
-        and (cfg.profile is None or np.allclose(cfg.profile, 1.0))
+        and np.allclose(cfg.profile, 1.0)
     )
     results["flat_pump"] = flat
     t = linear_supermodes(cfg).to_supermode_basis()

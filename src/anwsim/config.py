@@ -18,6 +18,7 @@ import numpy as np
 
 from .entanglement import PRESETS, GraphSpec, graph_preset
 from .model import ArrayConfig, PumpProfile
+from .optimize import ETA_MAX
 
 __all__ = [
     "ConfigError",
@@ -261,7 +262,7 @@ class OptimizerSection:
     restarts: int | None = None
     seed: int = 0
     sigma0: float = 0.3
-    eta_max: float = 0.1
+    eta_max: float = ETA_MAX
     target: float | None = None
     optimize_pump_phases: bool = False
 
@@ -304,7 +305,7 @@ class OptimizerSection:
         if generations < 0:
             raise ConfigError(f"optimizer.generations: must be >= 0, got {generations}")
         sigma0 = _positive(d.get("sigma0", 0.3), "optimizer.sigma0")
-        eta_max = _positive(d.get("eta_max", 0.1), "optimizer.eta_max")
+        eta_max = _positive(d.get("eta_max", ETA_MAX), "optimizer.eta_max")
         return cls(
             fitness=fitness,
             population=population,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import bogoliubov_to_symplectic, mat_exp
+from .symplectic import bogoliubov_to_symplectic, mat_exp, require_symplectic
 
 __all__ = [
     "BASES",
@@ -43,6 +43,8 @@ BASES = ("individual", "linear_supermode", "nonlinear_supermode")
 
 # removable-singularity threshold for the phase-mismatch denominator, mm^-1
 DEGENERATE_MISMATCH = 1e-12
+# default step of the RK4 cross-validation propagators, mm
+_RK4_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,8 @@ def propagators(
     leading index, and ``z`` is a scalar or an array that broadcasts
     against those leading axes: one (N,) pump with z of shape (m,) gives
     the (m, 2N, 2N) propagators of a z sweep. Each propagator is
-    bit-equal to propagator_exact of its own pump and distance.
+    bit-equal to propagator_exact of its own pump and distance, but left
+    unchecked: a caller that reports from the stack checks it itself.
     """
     amp, ph = _pump_arrays(amplitudes, phases)
     return _propagate(cfg, amp, ph, z)
@@ -294,10 +297,14 @@ def propagator_exact(cfg: ArrayConfig, pump: PumpProfile, z: float) -> GaussianS
 
     The coupled-mode equations have z-independent coefficients, so the
     full solution is a single matrix exponential with no ordering
-    approximation at any gain. This is the one-pump case of propagators;
-    the pump was validated when the PumpProfile was built.
+    approximation at any gain. This is the one-pump case of propagators
+    (the pump was validated when the PumpProfile was built) and the one
+    checked path from a pump to a state: an S that overflowed or lost
+    symplecticity (roundoff at very high gain) raises ValueError before
+    any covariance is taken from it.
     """
     s = _propagate(cfg, pump.amplitudes, pump.phases, z)
+    require_symplectic(s)
     return GaussianState.from_propagator(z, s, "individual")
 
 
@@ -428,7 +435,7 @@ def flat_pump_analytic(cfg: ArrayConfig, eta: complex, z: float) -> FlatPumpSolu
     )
 
 
-def _check_rk4(z: np.ndarray, step: float) -> None:
+def _check_rk4(z: float | np.ndarray, step: float = _RK4_STEP) -> None:
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not np.all((z >= 0) & (z <= step * 2.0**53)):
@@ -449,7 +456,7 @@ def _rk4_increments(q: np.ndarray, steps: np.ndarray, h: float) -> np.ndarray:
 
 
 def rk4_propagate(
-    cfg: ArrayConfig, pump: PumpProfile, z: float, step: float = 1e-3
+    cfg: ArrayConfig, pump: PumpProfile, z: float, step: float = _RK4_STEP
 ) -> GaussianState:
     """Fixed-step Runge-Kutta integration of dS/dz = Q S.
 
@@ -469,7 +476,7 @@ def rk4_propagate(
 
 
 def rk4_propagate_batch(
-    generators: list[np.ndarray], z: np.ndarray, step: float = 1e-3
+    generators: list[np.ndarray], z: np.ndarray, step: float = _RK4_STEP
 ) -> list[np.ndarray]:
     """Integrate many dS/dz = Q S problems at once, in input order.
 

@@ -43,13 +43,7 @@ from .model import (
     propagator_exact,
     propagators,
 )
-from .symplectic import (
-    _passive_out,
-    bloch_messiah,
-    euler_orthogonal,
-    orthogonal_to_euler,
-    require_symplectic,
-)
+from .symplectic import _passive_out, euler_orthogonal, orthogonal_to_euler
 
 __all__ = [
     "ETA_MAX",
@@ -473,8 +467,9 @@ def optimize_vlf(
     violation at pump powers where detection alone cannot; that
     landscape traps single runs, so the first of ``restarts`` runs
     starts at the neutral point and later ones at random settings with
-    a wider step. Raises ValueError when the best point's propagator has
-    lost symplecticity (roundoff at very high gain).
+    a wider step. rho comes from propagator_exact, which raises
+    ValueError for a propagator that lost symplecticity: before the
+    detection-only search, after the search with pump phases.
     """
     n = cfg.n
     es = ESConfig(population=population, parents=parents, max_generations=generations)
@@ -523,8 +518,6 @@ def optimize_vlf(
     if optimize_pump_phases:
         pump = phased(res.parameters)
         state = propagator_exact(cfg, pump, z)
-    # no rho is reported from a propagator that lost symplecticity
-    require_symplectic(state.propagator)
     return VLFOptimum(
         optimization=res,
         pump=pump,
@@ -540,11 +533,12 @@ def optimize_vlf(
 
 @dataclass(frozen=True)
 class ClusterSynthesis:
-    """Pump and LO profiles synthesizing a graph state, with certification."""
+    """Pump and LO profiles synthesizing a graph state, and its certified state."""
 
     graph: str
     optimization: OptimizationResult
     pump: PumpProfile
+    state: GaussianState
     lo_phases: np.ndarray
     report: CertificationReport
     restarts_used: int
@@ -586,7 +580,8 @@ def synthesize_cluster(
     points with a wide angular step. Stops as soon as the target total
     variance is reached. The graph is searched as its search_equivalent,
     whose LO phase shift carries the optimum back. Raises ValueError
-    before searching when the graph has no known inseparability bounds.
+    before searching when the graph has no known inseparability bounds,
+    and from propagator_exact when the winner lost symplecticity.
     """
     n = cfg.n
     bounds = inseparability_bounds(graph)
@@ -625,6 +620,7 @@ def synthesize_cluster(
         graph=graph.name,
         optimization=best,
         pump=pump,
+        state=state,
         lo_phases=theta,
         report=certify(state, graph, theta, bounds=bounds),
         restarts_used=used,
@@ -637,11 +633,12 @@ def synthesize_cluster(
 
 @dataclass(frozen=True)
 class EmulationSynthesis:
-    """Pump profile plus detection layer emulating a cluster's statistics."""
+    """Pump, its state and a detection layer emulating a cluster's statistics."""
 
     graph: str
     optimization: OptimizationResult
     pump: PumpProfile
+    state: GaussianState
     mixing_euler: np.ndarray
     lo_phases: np.ndarray
     post_euler: np.ndarray
@@ -820,6 +817,8 @@ def synthesize_emulation(
 
     ``target`` is an early-stop threshold on the summed cluster-basis
     nullifier variances (with every variance also below shot noise).
+    The report comes from the winner's propagator_exact state, which
+    raises ValueError when it lost symplecticity.
     """
     n = cfg.n
     na = n * (n - 1) // 2
@@ -848,10 +847,9 @@ def synthesize_emulation(
     def summarize(p: np.ndarray):
         pump = PumpProfile(*_pump(p))
         state = propagator_exact(cfg, pump, z)
-        bm = bloch_messiah(state.propagator)
+        gains, w_out = _passive_out(state.propagator)
         o = euler_orthogonal(p[2 * n :], n)
-        variances = cluster_nullifier_variances(graph, bm.gains, o)
-        return pump, bm, o, variances
+        return pump, state, w_out, o, cluster_nullifier_variances(graph, gains, o)
 
     def start(r: int):
         x0 = np.concatenate(
@@ -860,7 +858,7 @@ def synthesize_emulation(
         return x0, sigma0
 
     def reached(best: OptimizationResult) -> bool:
-        variances = summarize(best.parameters)[3]
+        variances = summarize(best.parameters)[-1]
         return bool(variances.sum() <= target and variances.max() < 1.0)
 
     best, _ = _multistart(
@@ -877,9 +875,8 @@ def synthesize_emulation(
     x = x_pol if f_pol <= best.fitness else best.parameters
     fp = min(f_pol, best.fitness)
 
-    pump, bm, o, variances = summarize(x)
-    u1 = bm.passive_out[:n, :n] + 1j * bm.passive_out[n:, :n]
-    p_opt, theta, _ = _nearest_phase_rotation(uc @ o @ u1.conj().T)
+    pump, state, w_out, o, variances = summarize(x)
+    p_opt, theta, _ = _nearest_phase_rotation(uc @ o @ w_out.conj().T)
     combined = OptimizationResult(
         parameters=space.wrap(x),
         fitness=fp,
@@ -892,6 +889,7 @@ def synthesize_emulation(
         graph=graph.name,
         optimization=combined,
         pump=pump,
+        state=state,
         mixing_euler=combined.parameters[2 * n :],
         lo_phases=_wrap_angle(theta),
         post_euler=orthogonal_to_euler(p_opt),

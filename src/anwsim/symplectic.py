@@ -283,29 +283,22 @@ def orthogonal_to_euler(o: np.ndarray) -> np.ndarray:
     if np.linalg.det(o) < 0:
         raise ValueError("matrix has determinant -1; not a rotation")
     a = o.copy()
-    angles: list[float] = []
+    angles = np.zeros(n * (n - 1) // 2)
+    start = 0
     for i in range(n - 1):
         u = a[i:, i]
-        m = len(u)
-        col = np.zeros(m - 1)
+        block = angles[start : start + n - 1 - i]
         # spherical coordinates of u: u_k = sin(a_k) prod_{l>k} cos(a_l),
         # u_0 = prod cos; all but the first angle keep cos >= 0
-        for k in range(m - 1, 1, -1):
-            col[k - 1] = np.arctan2(u[k], float(np.linalg.norm(u[:k])))
-        if m > 1:
-            col[0] = np.arctan2(u[1], u[0])
-        g = np.eye(n)
-        for idx, j in enumerate(range(i + 1, n)):
-            c, s = np.cos(col[idx]), np.sin(col[idx])
-            rot = np.eye(n)
-            rot[i, i] = c
-            rot[j, j] = c
-            rot[i, j] = -s
-            rot[j, i] = s
-            g = g @ rot
-        a = g.T @ a
-        angles.extend(col.tolist())
-    return np.array(angles)
+        for k in range(len(u) - 1, 1, -1):
+            block[k - 1] = np.arctan2(u[k], float(np.linalg.norm(u[:k])))
+        block[0] = np.arctan2(u[1], u[0])
+        # block i's rotations alone: every other angle is zero
+        only = np.zeros_like(angles)
+        only[start : start + len(block)] = block
+        a = euler_orthogonal(only, n).T @ a
+        start += len(block)
+    return angles
 
 
 def d_lo(theta: np.ndarray) -> np.ndarray:

@@ -618,15 +618,31 @@ class TestVerify:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["verify", "propagate"])
     @pytest.mark.parametrize(
-        "length, amplitude", [(1e20, 0.0), (3000.0, 0.1)], ids=["zero_pump", "flat_pump"]
+        "length, amplitude, command",
+        [
+            (1e20, 0.0, "verify"),
+            (1e20, 0.0, "propagate"),
+            (3000.0, 0.1, "verify"),
+            (3000.0, 0.1, "propagate"),
+            (3000.0, 0.1, "oracle-check"),
+        ],
+        ids=[
+            "zero_pump-verify",
+            "zero_pump-propagate",
+            "flat_pump-verify",
+            "flat_pump-propagate",
+            "flat_pump-oracle-check",
+        ],
     )
     def test_overflow_refused_without_warning(
         self, tmp_path, capsys, command, length, amplitude
     ):
         """An overflowed propagator is refused as not finite; numpy's
-        overflow warnings (errors under this suite's filter) never fire."""
+        overflow warnings (errors under this suite's filter) never fire.
+        oracle-check refuses the exact propagator before RK4 takes a
+        covariance; at 1e20 mm its RK4 step-count check comes first (see
+        TestOracleCheck)."""
         data = {
             **LINEAR_VERIFY,
             "array": {**ARRAY, "length": length},

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from anwsim import ArrayConfig
+from anwsim import ETA_MAX, ArrayConfig
 from anwsim.config import (
     ArraySection,
     ConfigError,
@@ -168,6 +168,11 @@ class TestOptimizerSection:
         assert section.parents == 5
         assert section.restarts is None
         assert not section.optimize_pump_phases
+
+    def test_eta_max_defaults_to_search_ceiling(self):
+        """The pump ceiling has one home, optimize.ETA_MAX, parsed or not."""
+        assert OptimizerSection.from_dict({"fitness": "FC"}).eta_max == ETA_MAX
+        assert OptimizerSection(fitness="FC").eta_max == ETA_MAX
 
     def test_fitness_required(self):
         """The block must say which objective to run."""

@@ -227,6 +227,21 @@ class TestPropagatorExact:
         state = propagator_exact(cfg, pump, 30.0)
         assert symplectic_error(state.propagator) < 1e-11
 
+    @pytest.mark.parametrize(
+        "amplitude, message",
+        [(0.4, "matrix is not symplectic: deviation"), (30.0, "it is not finite")],
+        ids=["roundoff", "overflow"],
+    )
+    def test_lost_symplecticity_refused(self, amplitude, message):
+        """A propagator that lost symplecticity or overflowed is refused
+        before any covariance is taken; the stacked kernel returns it."""
+        cfg = ArrayConfig(n=5, coupling=0.24, length=30.0)
+        pump = PumpProfile.flat(5, amplitude, -np.pi / 2)
+        with pytest.raises(ValueError, match=message):
+            propagator_exact(cfg, pump, 30.0)
+        s = propagators(cfg, pump.amplitudes, pump.phases, 30.0)
+        assert not symplectic_error(s) <= 1e-10
+
     def test_single_guide_squeezer(self):
         """One pumped guide at phase -pi/2 squeezes y by exp(-4 eta z)."""
         cfg = ArrayConfig(n=1, coupling=0.0, length=30.0)

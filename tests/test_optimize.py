@@ -16,7 +16,10 @@ from anwsim import (
     OptimizationProblem,
     ParameterSpace,
     PumpProfile,
+    bloch_messiah,
+    cluster_nullifier_variances,
     cluster_problem,
+    euler_orthogonal,
     evolve,
     fitness_FC,
     fitness_FM,
@@ -356,6 +359,17 @@ class TestOptimizeVLF:
         with pytest.raises(ValueError, match="matrix is not symplectic: deviation"):
             optimize_vlf(cfg5, 30.0, 0.4, seed=7, generations=5)
 
+    def test_detection_only_refuses_before_search(self, cfg5, monkeypatch):
+        """Without pump phases the state is fixed, so a propagator that lost
+        symplecticity is refused before any search runs."""
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(optimize, "_multistart", no_search)
+        with pytest.raises(ValueError, match="matrix is not symplectic: deviation"):
+            optimize_vlf(cfg5, 30.0, 0.4, seed=7, generations=5)
+
     def test_pump_phase_variant_consistency(self, cfg5):
         """Pump phases join the search with the first guide as reference."""
         opt = optimize_vlf(
@@ -405,6 +419,17 @@ class TestSynthesizeCluster:
         )
         assert np.all(syn.pump.amplitudes <= ETA_MAX)
         assert syn.restarts_used == 1
+
+    def test_state_is_the_pumps_exact_state(self, cfg5):
+        """The result carries the state it certified: the winner pump's
+        propagator_exact, bit for bit."""
+        syn = synthesize_cluster(
+            cfg5, 30.0, graph_preset("linear"), seed=41,
+            restarts=1, generations=3, parents=4, population=16,
+        )
+        exact = propagator_exact(cfg5, syn.pump, 30.0)
+        assert np.array_equal(syn.state.propagator, exact.propagator)
+        assert np.array_equal(syn.state.covariance, exact.covariance)
 
     def test_target_short_circuits(self, cfg5):
         """A generous target stops after the first restart."""
@@ -476,6 +501,28 @@ class TestSynthesizeEmulation:
         assert syn.nullifier_variances.shape == (5,)
         assert np.all(syn.nullifier_variances > 0)
         assert np.all(np.diff(syn.optimization.trace) <= 0)
+        # the carried state is the winner pump's propagator_exact, and the
+        # variances are its Bloch-Messiah gains' (to roundoff: the reported
+        # mixing angles are wrapped)
+        exact = propagator_exact(cfg5, syn.pump, 30.0)
+        assert np.array_equal(syn.state.propagator, exact.propagator)
+        gains = bloch_messiah(exact.propagator).gains
+        mixing = euler_orthogonal(syn.mixing_euler, 5)
+        assert np.allclose(
+            syn.nullifier_variances,
+            cluster_nullifier_variances(graph, gains, mixing),
+            atol=0,
+            rtol=1e-12,
+        )
+
+    def test_lost_symplecticity_raises(self, cfg5):
+        """A winner whose propagator lost symplecticity (a pump ceiling far
+        above the working point) is refused, not reported."""
+        with pytest.raises(ValueError, match="matrix is not symplectic"):
+            synthesize_emulation(
+                cfg5, 30.0, graph_preset("pentagon"), seed=11,
+                restarts=1, generations=3, eta_max=1.0,
+            )
 
 
 def shifted_quadratic(d, condition=1e3, seed=5):

@@ -79,11 +79,11 @@ class TestSymplecticCheck:
 
     def test_overflowed_slice_rejected(self):
         """A stack holding one finite propagator and one overflowed one
-        (NaN defect) is refused as not finite."""
+        (NaN defect) is refused as not finite. The overflowed one comes
+        from the unchecked stacked kernel: propagator_exact refuses it."""
         cfg = ArrayConfig(5, 0.24, 30.0)
         good = propagator_exact(cfg, PumpProfile.flat(5, 0.015), 30.0).propagator
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = propagator_exact(cfg, PumpProfile.flat(5, 30.0), 30.0).propagator
+        bad = propagators(cfg, np.full(5, 30.0), np.zeros(5), 30.0)
         assert np.isnan(symplectic_error(bad))
         require_symplectic(good)
         with pytest.raises(ValueError, match="not finite"):
