@@ -10,172 +10,21 @@ and detection profiles.
 
 __version__ = "0.1.0"
 
-from .symplectic import (
-    SYMPLECTIC_TOL,
-    BlochMessiahFactorization,
-    TakagiFactorization,
-    bloch_messiah,
-    bogoliubov_to_symplectic,
-    d_lo,
-    euler_orthogonal,
-    mat_exp,
-    omega,
-    orthogonal_to_euler,
-    require_symplectic,
-    symplectic_error,
-    symplectic_to_bogoliubov,
-    takagi,
-    unitary_to_symplectic,
-)
-from .model import (
-    BASES,
-    ArrayConfig,
-    FlatPumpSolution,
-    GaussianState,
-    LinearSupermodes,
-    PumpProfile,
-    coupling_tridiagonal,
-    covariances,
-    flat_pump_analytic,
-    integrated_L,
-    linear_supermodes,
-    propagator_exact,
-    propagator_no_ordering,
-    propagators,
-    quad_generator,
-    rk4_propagate,
-    rk4_propagate_batch,
-)
-from .measurement import (
-    QuadratureCombination,
-    change_basis,
-    combination_variance,
-    min_variance,
-    min_variances,
-    quadrature_variances,
-    squeezing_db,
-)
-from .entanglement import (
-    PRESETS,
-    CertificationReport,
-    ClusterTransform,
-    GraphSpec,
-    certify,
-    cluster_nullifier_variances,
-    cluster_transform,
-    emulation_error,
-    graph_preset,
-    inseparability_bounds,
-    nullifier_rows,
-    nullifiers_for,
-    search_equivalent,
-    vlf_rows,
-    vlf_values,
-    vlf_values_batch,
-)
-from .optimize import (
-    ETA_MAX,
-    GAIN_LIMIT,
-    ClusterSynthesis,
-    EmulationSynthesis,
-    ESConfig,
-    OptimizationProblem,
-    OptimizationResult,
-    ParameterSpace,
-    VLFOptimum,
-    cluster_problem,
-    evolve,
-    fitness_FC,
-    fitness_FM,
-    fitness_FP,
-    optimize_vlf,
-    synthesize_cluster,
-    synthesize_emulation,
-    vlf_problem,
-)
+from . import entanglement, measurement, model, optimize, symplectic
+from .symplectic import *
+from .model import *
+from .measurement import *
+from .entanglement import *
+from .optimize import *
 from .config import ScenarioConfig, load_config, parse_config
 
 __all__ = [
     "__version__",
-    # symplectic
-    "SYMPLECTIC_TOL",
-    "BlochMessiahFactorization",
-    "TakagiFactorization",
-    "bloch_messiah",
-    "bogoliubov_to_symplectic",
-    "d_lo",
-    "euler_orthogonal",
-    "mat_exp",
-    "omega",
-    "orthogonal_to_euler",
-    "require_symplectic",
-    "symplectic_error",
-    "symplectic_to_bogoliubov",
-    "takagi",
-    "unitary_to_symplectic",
-    # model
-    "BASES",
-    "ArrayConfig",
-    "FlatPumpSolution",
-    "GaussianState",
-    "LinearSupermodes",
-    "PumpProfile",
-    "coupling_tridiagonal",
-    "covariances",
-    "flat_pump_analytic",
-    "integrated_L",
-    "linear_supermodes",
-    "propagator_exact",
-    "propagator_no_ordering",
-    "propagators",
-    "quad_generator",
-    "rk4_propagate",
-    "rk4_propagate_batch",
-    # measurement
-    "QuadratureCombination",
-    "change_basis",
-    "combination_variance",
-    "min_variance",
-    "min_variances",
-    "quadrature_variances",
-    "squeezing_db",
-    # entanglement
-    "PRESETS",
-    "CertificationReport",
-    "ClusterTransform",
-    "GraphSpec",
-    "certify",
-    "cluster_nullifier_variances",
-    "cluster_transform",
-    "emulation_error",
-    "graph_preset",
-    "inseparability_bounds",
-    "nullifier_rows",
-    "nullifiers_for",
-    "search_equivalent",
-    "vlf_rows",
-    "vlf_values",
-    "vlf_values_batch",
-    # optimize
-    "ETA_MAX",
-    "GAIN_LIMIT",
-    "ClusterSynthesis",
-    "EmulationSynthesis",
-    "ESConfig",
-    "OptimizationProblem",
-    "OptimizationResult",
-    "ParameterSpace",
-    "VLFOptimum",
-    "cluster_problem",
-    "evolve",
-    "fitness_FC",
-    "fitness_FM",
-    "fitness_FP",
-    "optimize_vlf",
-    "synthesize_cluster",
-    "synthesize_emulation",
-    "vlf_problem",
-    # config
+    *symplectic.__all__,
+    *model.__all__,
+    *measurement.__all__,
+    *entanglement.__all__,
+    *optimize.__all__,
     "ScenarioConfig",
     "load_config",
     "parse_config",

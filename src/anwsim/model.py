@@ -272,8 +272,16 @@ def propagators(
 
 
 def covariances(s: np.ndarray) -> np.ndarray:
-    """Covariances V = S S^T of a (..., 2N, 2N) stack of propagators."""
-    return s @ np.swapaxes(s, -1, -2)
+    """Covariances V = S S^T of a (..., 2N, 2N) stack of propagators.
+
+    Raises ValueError, with require_symplectic's message, when a
+    covariance is not finite (an overflowed propagator or product).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = s @ np.swapaxes(s, -1, -2)
+    if not np.isfinite(v).all():
+        raise ValueError("matrix is not symplectic: it is not finite")
+    return v
 
 
 def _check_z(z: float | np.ndarray) -> np.ndarray:

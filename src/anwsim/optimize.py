@@ -469,7 +469,8 @@ def optimize_vlf(
     starts at the neutral point and later ones at random settings with
     a wider step. rho comes from propagator_exact, which raises
     ValueError for a propagator that lost symplecticity: before the
-    detection-only search, after the search with pump phases.
+    detection-only search, after the search with pump phases. A search
+    batch whose propagators overflow raises ValueError too.
     """
     n = cfg.n
     es = ESConfig(population=population, parents=parents, max_generations=generations)
@@ -555,9 +556,7 @@ def _flat_scan(problem: OptimizationProblem, n: int, eta_max: float) -> np.ndarr
     cells = np.zeros((120, 3 * n))
     cells[:, :n] = np.repeat(np.linspace(eta_max / 10.0, eta_max, 10), 12)[:, None]
     cells[:, n : 2 * n] = np.tile(np.linspace(-np.pi, np.pi, 12, endpoint=False), 10)[:, None]
-    f = problem.fitness(cells)
-    k = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
-    return cells[k] if f[k] < np.inf else problem.x0
+    return cells[int(np.argmin(problem.fitness(cells)))]
 
 
 def synthesize_cluster(
@@ -581,7 +580,8 @@ def synthesize_cluster(
     variance is reached. The graph is searched as its search_equivalent,
     whose LO phase shift carries the optimum back. Raises ValueError
     before searching when the graph has no known inseparability bounds,
-    and from propagator_exact when the winner lost symplecticity.
+    from a search batch whose propagators overflow, and from
+    propagator_exact when the winner lost symplecticity.
     """
     n = cfg.n
     bounds = inseparability_bounds(graph)
@@ -818,7 +818,8 @@ def synthesize_emulation(
     ``target`` is an early-stop threshold on the summed cluster-basis
     nullifier variances (with every variance also below shot noise).
     The report comes from the winner's propagator_exact state, which
-    raises ValueError when it lost symplecticity.
+    raises ValueError when it lost symplecticity; a search batch whose
+    propagators overflow raises ValueError too.
     """
     n = cfg.n
     na = n * (n - 1) // 2
@@ -872,13 +873,13 @@ def synthesize_emulation(
         None if target is None else reached,
     )
     x_pol, f_pol, polish_evals, polish_stop = _polish(reduced, best.parameters)
-    x = x_pol if f_pol <= best.fitness else best.parameters
+    x = space.wrap(x_pol if f_pol <= best.fitness else best.parameters)
     fp = min(f_pol, best.fitness)
 
     pump, state, w_out, o, variances = summarize(x)
     p_opt, theta, _ = _nearest_phase_rotation(uc @ o @ w_out.conj().T)
     combined = OptimizationResult(
-        parameters=space.wrap(x),
+        parameters=x,
         fitness=fp,
         trace=np.minimum.accumulate(np.append(best.trace, fp)),
         evaluations=best.evaluations + polish_evals,

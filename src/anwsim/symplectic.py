@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 __all__ = [
+    "SYMPLECTIC_TOL",
     "omega",
     "symplectic_error",
     "require_symplectic",
@@ -235,7 +236,9 @@ def _passive_out(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     s = np.asarray(s, dtype=float)
     peak = np.abs(s).max(axis=(-2, -1))
-    limit = SYMPLECTIC_TOL * np.maximum(1.0, peak**2)
+    # a peak whose square overflows has a non-finite defect, which is refused
+    with np.errstate(over="ignore"):
+        limit = SYMPLECTIC_TOL * np.maximum(1.0, peak**2)
     require_symplectic(s, tol=np.maximum(_BLOCH_MESSIAH_TOL, limit))
     e, f = symplectic_to_bogoliubov(s)
     # E F^T is complex symmetric with singular values sinh(2r)/2

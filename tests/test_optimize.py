@@ -370,6 +370,15 @@ class TestOptimizeVLF:
         with pytest.raises(ValueError, match="matrix is not symplectic: deviation"):
             optimize_vlf(cfg5, 30.0, 0.4, seed=7, generations=5)
 
+    @pytest.mark.parametrize("amplitude", [8.0, 20.0])
+    def test_pump_phase_search_overflow_refused(self, cfg5, amplitude):
+        """A search batch whose propagators overflow is refused as not
+        finite; numpy's overflow warnings (errors here) never fire."""
+        with pytest.raises(ValueError, match="matrix is not symplectic: it is not finite"):
+            optimize_vlf(
+                cfg5, 30.0, amplitude, optimize_pump_phases=True, restarts=1, generations=2
+            )
+
     def test_pump_phase_variant_consistency(self, cfg5):
         """Pump phases join the search with the first guide as reference."""
         opt = optimize_vlf(
@@ -460,6 +469,16 @@ class TestSynthesizeCluster:
         with pytest.raises(ValueError, match="no inseparability bounds known"):
             synthesize_cluster(cfg5, 30.0, graph, restarts=2, generations=30)
 
+    @pytest.mark.parametrize("eta_max", [8.0, 20.0])
+    def test_search_overflow_refused(self, cfg5, eta_max):
+        """A search batch whose propagators overflow is refused as not
+        finite; numpy's overflow warnings (errors here) never fire."""
+        with pytest.raises(ValueError, match="matrix is not symplectic: it is not finite"):
+            synthesize_cluster(
+                cfg5, 30.0, graph_preset("pentagon"), eta_max=eta_max,
+                restarts=1, generations=2,
+            )
+
     def test_ghz_rides_on_star(self, cfg5):
         """GHZ synthesis reuses the star run with rotated detector phases."""
         kw = dict(seed=41, restarts=1, generations=3, parents=4, population=16)
@@ -502,17 +521,14 @@ class TestSynthesizeEmulation:
         assert np.all(syn.nullifier_variances > 0)
         assert np.all(np.diff(syn.optimization.trace) <= 0)
         # the carried state is the winner pump's propagator_exact, and the
-        # variances are its Bloch-Messiah gains' (to roundoff: the reported
-        # mixing angles are wrapped)
+        # variances are its Bloch-Messiah gains' with the reported mixing
+        # angles, bit for bit
         exact = propagator_exact(cfg5, syn.pump, 30.0)
         assert np.array_equal(syn.state.propagator, exact.propagator)
         gains = bloch_messiah(exact.propagator).gains
         mixing = euler_orthogonal(syn.mixing_euler, 5)
-        assert np.allclose(
-            syn.nullifier_variances,
-            cluster_nullifier_variances(graph, gains, mixing),
-            atol=0,
-            rtol=1e-12,
+        assert np.array_equal(
+            syn.nullifier_variances, cluster_nullifier_variances(graph, gains, mixing)
         )
 
     def test_lost_symplecticity_raises(self, cfg5):

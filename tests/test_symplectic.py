@@ -326,6 +326,17 @@ class TestBlochMessiah:
         with pytest.raises(ValueError, match="matrix is not symplectic"):
             bloch_messiah(2.0 * np.eye(4))
 
+    def test_overflowing_tolerance_refused(self):
+        """A propagator whose largest entry squared overflows (a flat 8 mm^-1
+        pump over 30 mm) is refused as not finite, without the tolerance's
+        overflow warning (an error under this suite's filter)."""
+        cfg = ArrayConfig(5, 0.24, 30.0)
+        s = propagators(cfg, np.full(5, 8.0), np.zeros(5), 30.0)
+        assert np.isfinite(s).all()
+        assert np.abs(s).max() > np.sqrt(np.finfo(float).max)
+        with pytest.raises(ValueError, match="matrix is not symplectic: it is not finite"):
+            bloch_messiah(s)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_reconstruction(self, n):
         """passive_out @ squeezer @ passive_in reproduces the input."""
