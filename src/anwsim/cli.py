@@ -308,19 +308,20 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
             f"{s:.4f}, certified={report.passed}"
         )
     else:
+        driver = synthesize_cluster if opt.fitness == "FC" else synthesize_emulation
+        syn = driver(
+            cfg,
+            cfg.length,
+            graph,
+            seed=eff_seed,
+            generations=opt.generations,
+            parents=opt.parents,
+            population=opt.population,
+            eta_max=opt.eta_max,
+            target=opt.target,
+            **restarts,
+        )
         if opt.fitness == "FC":
-            syn = synthesize_cluster(
-                cfg,
-                cfg.length,
-                graph,
-                seed=eff_seed,
-                generations=opt.generations,
-                parents=opt.parents,
-                population=opt.population,
-                eta_max=opt.eta_max,
-                target=opt.target,
-                **restarts,
-            )
             fields = {
                 "lo_phases_pi": _round_trip(syn.lo_phases / np.pi),
                 "report": _report_dict(syn.report),
@@ -331,18 +332,6 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 f"{syn.total_variance:.4f}, certified={syn.report.passed}"
             )
         else:
-            syn = synthesize_emulation(
-                cfg,
-                cfg.length,
-                graph,
-                seed=eff_seed,
-                generations=opt.generations,
-                eta_max=opt.eta_max,
-                target=opt.target,
-                population=opt.population,
-                parents=opt.parents,
-                **restarts,
-            )
             fields = {
                 "mixing_euler_pi": _round_trip(syn.mixing_euler / np.pi),
                 "lo_phases_pi": _round_trip(syn.lo_phases / np.pi),

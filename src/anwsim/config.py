@@ -4,14 +4,17 @@ graph, optimizer and output settings.
 Phases are serialized in units of pi (matching how pump and LO settings
 are normally tabulated) and converted to radians on access. A parsed
 ``ScenarioConfig`` echoes back to the same dictionary, so result records
-stay replayable from their embedded configuration alone.
+stay replayable from their embedded configuration alone. Each key is one
+dataclass field that holds its parser; rules that tie fields together sit
+in ``__post_init__``, so a section built in Python is checked too.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +86,10 @@ def _flag(value, where: str) -> bool:
     return value
 
 
+def _text(value, where: str) -> str:
+    return str(value)
+
+
 def _floats(value, where: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
         raise ConfigError(f"{where}: expected a list of numbers")
@@ -92,42 +99,97 @@ def _floats(value, where: str) -> tuple[float, ...]:
     return out
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+def _integers(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list of integers, got {value!r}")
+    return tuple(_integer(v, where) for v in value)
+
+
+def _rows(value, where: str) -> tuple[tuple[int, ...], ...]:
+    """A matrix of integers given as a list of rows."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list of rows, got {value!r}")
+    return tuple(_integers(row, f"{where}[{i}]") for i, row in enumerate(value))
+
+
+_LISTS = {_floats: list, _integers: list, _rows: lambda rows: [list(r) for r in rows]}
+
+
+def _key(parse, default=MISSING):
+    """A key parsed by ``parse(value, "<section>.<key>")``; a tuple it builds
+    echoes through ``_LISTS``. With a default of None, a null leaves it unset."""
+    echo = _LISTS.get(parse)
+    if default is None:
+        parse = functools.partial(_unless_null, parse)
+    return field(default=default, metadata={"parse": parse, "echo": echo})
+
+
+def _unless_null(parse, value, where: str):
+    return None if value is None else parse(value, where)
+
+
+def _subsection(cls, default=None):
+    """A nested section, parsed and named by its own class."""
+    return field(
+        default=default, metadata={"parse": lambda d, _: cls.from_dict(d), "echo": _Section.to_dict}
+    )
+
+
+@functools.cache
+def _spec(cls):
+    """A section's key names, and (key, parser, echo, required, "<section>.<key>")
+    of each key in field order, which is the echo order."""
+    keys = tuple(
+        (f.name, f.metadata["parse"], f.metadata["echo"],
+         f.default is MISSING and f.default_factory is MISSING, f"{cls._where}.{f.name}")
+        for f in fields(cls)
+    )
+    return frozenset(key[0] for key in keys), keys
+
+
+class _Section:
+    """Reads and echoes a section from its fields; a subclass sets ``_where``."""
+
+    @classmethod
+    def _parse(cls, d, extra: tuple[str, ...] = ()) -> dict:
+        """The parsed keys of ``d``; ``extra`` keys are allowed and left out."""
+        names, keys = _spec(cls)
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls._where}: expected an object")
+        unknown = d.keys() - names - set(extra)
+        if unknown:
+            raise ConfigError(f"{cls._where}: unknown keys {sorted(unknown)}")
+        out = {}
+        for name, parse, _, required, where in keys:
+            if name in d:
+                out[name] = parse(d[name], where)
+            elif required:
+                raise ConfigError(f"{cls._where}: missing required key '{name}'")
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**cls._parse(d))
+
+    def to_dict(self) -> dict:
+        """Every key that is not None or False, tuples as lists."""
+        out = {}
+        for name, _, echo, _, _ in _spec(type(self))[1]:
+            value = getattr(self, name)
+            if value is not None and value is not False:
+                out[name] = value if echo is None else echo(value)
+        return out
 
 
 @dataclass(frozen=True)
-class ArraySection:
+class ArraySection(_Section):
     """Waveguide count, coupling strength and profile, and device length."""
 
-    n: int
-    coupling: float
-    length: float
-    profile: tuple[float, ...] | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArraySection":
-        _check_keys(d, {"n", "coupling", "length", "profile"}, "array")
-        n = _integer(_require(d, "n", "array"), "array.n")
-        profile = d.get("profile")
-        if profile is not None:
-            profile = _floats(profile, "array.profile")
-        return cls(
-            n=n,
-            coupling=_number(_require(d, "coupling", "array"), "array.coupling"),
-            length=_number(_require(d, "length", "array"), "array.length"),
-            profile=profile,
-        )
-
-    def to_dict(self) -> dict:
-        out = {"n": self.n, "coupling": self.coupling, "length": self.length}
-        if self.profile is not None:
-            out["profile"] = list(self.profile)
-        return out
+    _where = "array"
+    n: int = _key(_integer)
+    coupling: float = _key(_number)
+    length: float = _key(_number)
+    profile: tuple[float, ...] | None = _key(_floats, None)
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(
@@ -136,28 +198,16 @@ class ArraySection:
 
 
 @dataclass(frozen=True)
-class PumpSection:
+class PumpSection(_Section):
     """Per-guide pump amplitudes (mm^-1) and phases in units of pi."""
 
-    amplitudes: tuple[float, ...]
-    phases_pi: tuple[float, ...] | None = None
+    _where = "pump"
+    amplitudes: tuple[float, ...] = _key(_floats)
+    phases_pi: tuple[float, ...] | None = _key(_floats, None)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PumpSection":
-        _check_keys(d, {"amplitudes", "phases_pi"}, "pump")
-        amp = _floats(_require(d, "amplitudes", "pump"), "pump.amplitudes")
-        phases = d.get("phases_pi")
-        if phases is not None:
-            phases = _floats(phases, "pump.phases_pi")
-            if len(phases) != len(amp):
-                raise ConfigError("pump: amplitudes and phases_pi lengths differ")
-        return cls(amplitudes=amp, phases_pi=phases)
-
-    def to_dict(self) -> dict:
-        out = {"amplitudes": list(self.amplitudes)}
-        if self.phases_pi is not None:
-            out["phases_pi"] = list(self.phases_pi)
-        return out
+    def __post_init__(self):
+        if self.phases_pi is not None and len(self.phases_pi) != len(self.amplitudes):
+            raise ConfigError("pump: amplitudes and phases_pi lengths differ")
 
     def pump_profile(self) -> PumpProfile:
         phases = (
@@ -169,26 +219,12 @@ class PumpSection:
 
 
 @dataclass(frozen=True)
-class MeasurementSection:
+class MeasurementSection(_Section):
     """Homodyne LO phases (units of pi) and postprocessing gains."""
 
-    lo_phases_pi: tuple[float, ...]
-    gains: tuple[float, ...] | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeasurementSection":
-        _check_keys(d, {"lo_phases_pi", "gains"}, "measurement")
-        theta = _floats(_require(d, "lo_phases_pi", "measurement"), "measurement.lo_phases_pi")
-        gains = d.get("gains")
-        if gains is not None:
-            gains = _floats(gains, "measurement.gains")
-        return cls(lo_phases_pi=theta, gains=gains)
-
-    def to_dict(self) -> dict:
-        out = {"lo_phases_pi": list(self.lo_phases_pi)}
-        if self.gains is not None:
-            out["gains"] = list(self.gains)
-        return out
+    _where = "measurement"
+    lo_phases_pi: tuple[float, ...] = _key(_floats)
+    gains: tuple[float, ...] | None = _key(_floats, None)
 
     def lo_phases(self) -> np.ndarray:
         return np.pi * np.asarray(self.lo_phases_pi)
@@ -200,47 +236,25 @@ class MeasurementSection:
 
 
 @dataclass(frozen=True)
-class GraphSection:
-    """Target graph: a named preset, or an explicit adjacency matrix."""
+class GraphSection(_Section):
+    """Target graph: a named preset, or an adjacency matrix (named "custom" by default)."""
 
-    preset: str | None = None
-    adjacency: tuple[tuple[int, ...], ...] | None = None
-    labeling: tuple[int, ...] | None = None
-    name: str = "custom"
+    _where = "graph"
+    preset: str | None = _key(_text, None)
+    adjacency: tuple[tuple[int, ...], ...] | None = _key(_rows, None)
+    name: str | None = _key(_text, None)
+    labeling: tuple[int, ...] | None = _key(_integers, None)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraphSection":
-        _check_keys(d, {"preset", "adjacency", "labeling", "name"}, "graph")
-        preset = d.get("preset")
-        adjacency = d.get("adjacency")
-        if (preset is None) == (adjacency is None):
+    def __post_init__(self):
+        if (self.preset is None) == (self.adjacency is None):
             raise ConfigError("graph: give exactly one of 'preset' or 'adjacency'")
-        if preset is not None and preset not in PRESETS:
-            raise ConfigError(f"graph: unknown preset '{preset}', choose from {PRESETS}")
-        labeling = d.get("labeling")
-        if labeling is not None:
-            labeling = tuple(_integer(v, "graph.labeling") for v in labeling)
-        if adjacency is not None:
-            adjacency = tuple(
-                tuple(_integer(v, "graph.adjacency") for v in row) for row in adjacency
-            )
-        return cls(
-            preset=preset,
-            adjacency=adjacency,
-            labeling=labeling,
-            name=str(d.get("name", "custom")),
-        )
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.preset is not None:
-            out["preset"] = self.preset
-        if self.adjacency is not None:
-            out["adjacency"] = [list(row) for row in self.adjacency]
-            out["name"] = self.name
-        if self.labeling is not None:
-            out["labeling"] = list(self.labeling)
-        return out
+        if self.preset is None:
+            if self.name is None:
+                object.__setattr__(self, "name", "custom")
+        elif self.preset not in PRESETS:
+            raise ConfigError(f"graph: unknown preset '{self.preset}', choose from {PRESETS}")
+        elif self.name is not None:
+            raise ConfigError("graph.name: only an 'adjacency' graph takes a name")
 
     def graph_spec(self) -> GraphSpec:
         if self.preset is not None:
@@ -252,203 +266,112 @@ class GraphSection:
 
 
 @dataclass(frozen=True)
-class OptimizerSection:
+class OptimizerSection(_Section):
     """Evolution-strategy settings for the synthesis commands."""
 
-    fitness: str
-    population: int = 40
-    parents: int = 5
-    generations: int = 100
-    restarts: int | None = None
-    seed: int = 0
-    sigma0: float = 0.3
-    eta_max: float = ETA_MAX
-    target: float | None = None
-    optimize_pump_phases: bool = False
+    _where = "optimizer"
+    fitness: str = _key(_text)
+    population: int = _key(_integer, 40)
+    parents: int = _key(_integer, 5)
+    generations: int = _key(_integer, 100)
+    seed: int = _key(_integer, 0)
+    sigma0: float = _key(_positive, 0.3)
+    eta_max: float = _key(_positive, ETA_MAX)
+    restarts: int | None = _key(_integer, None)
+    target: float | None = _key(_number, None)
+    optimize_pump_phases: bool = _key(_flag, False)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerSection":
-        _check_keys(
-            d,
-            {
-                "fitness",
-                "population",
-                "parents",
-                "generations",
-                "restarts",
-                "seed",
-                "sigma0",
-                "eta_max",
-                "target",
-                "optimize_pump_phases",
-            },
-            "optimizer",
-        )
-        fitness = str(_require(d, "fitness", "optimizer"))
-        if fitness not in _FITNESSES:
-            raise ConfigError(f"optimizer: unknown fitness '{fitness}', choose from {_FITNESSES}")
-        restarts = d.get("restarts")
-        if restarts is not None:
-            restarts = _integer(restarts, "optimizer.restarts")
-            if restarts < 1:
-                raise ConfigError(f"optimizer: restarts must be >= 1, got {restarts}")
-        target = d.get("target")
-        parents = _integer(d.get("parents", 5), "optimizer.parents")
-        if parents < 1:
-            raise ConfigError(f"optimizer.parents: must be >= 1, got {parents}")
-        population = _integer(d.get("population", 40), "optimizer.population")
-        if population < parents:
+    def __post_init__(self):
+        if self.fitness not in _FITNESSES:
             raise ConfigError(
-                f"optimizer.population: must be >= parents ({parents}), got {population}"
+                f"optimizer: unknown fitness '{self.fitness}', choose from {_FITNESSES}"
             )
-        generations = _integer(d.get("generations", 100), "optimizer.generations")
-        if generations < 0:
-            raise ConfigError(f"optimizer.generations: must be >= 0, got {generations}")
-        sigma0 = _positive(d.get("sigma0", 0.3), "optimizer.sigma0")
-        eta_max = _positive(d.get("eta_max", ETA_MAX), "optimizer.eta_max")
-        return cls(
-            fitness=fitness,
-            population=population,
-            parents=parents,
-            generations=generations,
-            restarts=restarts,
-            seed=_integer(d.get("seed", 0), "optimizer.seed"),
-            sigma0=sigma0,
-            eta_max=eta_max,
-            target=None if target is None else _number(target, "optimizer.target"),
-            optimize_pump_phases=_flag(
-                d.get("optimize_pump_phases", False), "optimizer.optimize_pump_phases"
-            ),
-        )
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "fitness": self.fitness,
-            "population": self.population,
-            "parents": self.parents,
-            "generations": self.generations,
-            "seed": self.seed,
-            "sigma0": self.sigma0,
-            "eta_max": self.eta_max,
-        }
-        if self.restarts is not None:
-            out["restarts"] = self.restarts
-        if self.target is not None:
-            out["target"] = self.target
-        if self.optimize_pump_phases:
-            out["optimize_pump_phases"] = True
-        return out
+        if self.restarts is not None and self.restarts < 1:
+            raise ConfigError(f"optimizer: restarts must be >= 1, got {self.restarts}")
+        if self.parents < 1:
+            raise ConfigError(f"optimizer.parents: must be >= 1, got {self.parents}")
+        if self.population < self.parents:
+            raise ConfigError(
+                f"optimizer.population: must be >= parents ({self.parents}), got {self.population}"
+            )
+        if self.generations < 0:
+            raise ConfigError(f"optimizer.generations: must be >= 0, got {self.generations}")
 
 
 @dataclass(frozen=True)
-class SweepSection:
-    """Grid over propagation distance or flat-pump amplitude."""
+class SweepSection(_Section):
+    """Grid over distance or flat-pump amplitude: ``values`` or ``start``/``stop``/``points``."""
 
-    variable: str = "z"
-    values: tuple[float, ...] = ()
+    _where = "sweep"
+    variable: str = _key(_text, "z")
+    values: tuple[float, ...] = _key(_floats, ())
+
+    def __post_init__(self):
+        if self.variable not in ("z", "eta"):
+            raise ConfigError("sweep: variable must be 'z' or 'eta'")
+        if not self.values:
+            raise ConfigError("sweep: empty grid")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSection":
-        _check_keys(d, {"variable", "values", "start", "stop", "points"}, "sweep")
-        variable = str(d.get("variable", "z"))
-        if variable not in ("z", "eta"):
-            raise ConfigError("sweep: variable must be 'z' or 'eta'")
-        if "values" in d:
-            values = _floats(d["values"], "sweep.values")
+        grid = ("start", "stop", "points")
+        out = cls._parse(d, extra=grid)
+        if "values" in out:
+            if any(key in d for key in grid):
+                raise ConfigError("sweep: give 'values' or 'start'/'stop'/'points', not both")
         else:
             start = _number(_require(d, "start", "sweep"), "sweep.start")
             stop = _number(_require(d, "stop", "sweep"), "sweep.stop")
             points = _integer(_require(d, "points", "sweep"), "sweep.points")
             if points < 1:
                 raise ConfigError("sweep: points must be positive")
-            values = tuple(np.linspace(start, stop, points).tolist())
-        if not values:
-            raise ConfigError("sweep: empty grid")
-        return cls(variable=variable, values=values)
-
-    def to_dict(self) -> dict:
-        return {"variable": self.variable, "values": list(self.values)}
+            out["values"] = tuple(np.linspace(start, stop, points).tolist())
+        return cls(**out)
 
 
 @dataclass(frozen=True)
-class OutputSection:
+class OutputSection(_Section):
     """Where results are written and in which format."""
 
-    directory: str = "."
-    format: str = "json"
+    _where = "output"
+    directory: str = _key(_text, ".")
+    format: str = _key(_text, "json")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutputSection":
-        _check_keys(d, {"directory", "format"}, "output")
-        fmt = str(d.get("format", "json"))
-        if fmt not in ("json", "csv"):
+    def __post_init__(self):
+        if self.format not in ("json", "csv"):
             raise ConfigError("output: format must be 'json' or 'csv'")
-        return cls(directory=str(d.get("directory", ".")), format=fmt)
-
-    def to_dict(self) -> dict:
-        return {"directory": self.directory, "format": self.format}
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Section):
     """Validated scenario: array required, remaining sections optional."""
 
-    array: ArraySection
-    pump: PumpSection | None = None
-    measurement: MeasurementSection | None = None
-    graph: GraphSection | None = None
-    optimizer: OptimizerSection | None = None
-    sweep: SweepSection | None = None
-    output: OutputSection = field(default_factory=OutputSection)
+    _where = "scenario"
+    array: ArraySection = _subsection(ArraySection, MISSING)
+    pump: PumpSection | None = _subsection(PumpSection)
+    measurement: MeasurementSection | None = _subsection(MeasurementSection)
+    graph: GraphSection | None = _subsection(GraphSection)
+    optimizer: OptimizerSection | None = _subsection(OptimizerSection)
+    sweep: SweepSection | None = _subsection(SweepSection)
+    output: OutputSection = _subsection(OutputSection, OutputSection())
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        _check_keys(
-            d,
-            {"array", "pump", "measurement", "graph", "optimizer", "sweep", "output"},
-            "scenario",
-        )
-        sections: dict = {"array": ArraySection.from_dict(_require(d, "array", "scenario"))}
-        if "pump" in d:
-            sections["pump"] = PumpSection.from_dict(d["pump"])
-        if "measurement" in d:
-            sections["measurement"] = MeasurementSection.from_dict(d["measurement"])
-        if "graph" in d:
-            sections["graph"] = GraphSection.from_dict(d["graph"])
-        if "optimizer" in d:
-            sections["optimizer"] = OptimizerSection.from_dict(d["optimizer"])
-        if "sweep" in d:
-            sections["sweep"] = SweepSection.from_dict(d["sweep"])
-        if "output" in d:
-            sections["output"] = OutputSection.from_dict(d["output"])
-        cfg = cls(**sections)
-        if cfg.pump is not None and len(cfg.pump.amplitudes) != cfg.array.n:
+    def __post_init__(self):
+        n, measurement, graph = self.array.n, self.measurement, self.graph
+        if self.pump is not None and len(self.pump.amplitudes) != n:
             raise ConfigError("pump: amplitude count does not match array.n")
-        if cfg.measurement is not None and len(cfg.measurement.lo_phases_pi) != cfg.array.n:
+        if measurement is not None and len(measurement.lo_phases_pi) != n:
             raise ConfigError("measurement: lo_phases_pi count does not match array.n")
-        gains = cfg.measurement.gains if cfg.measurement is not None else None
-        if gains is not None and len(gains) != cfg.array.n:
+        gains = measurement.gains if measurement is not None else None
+        if gains is not None and len(gains) != n:
             raise ConfigError("measurement: gains count does not match array.n")
-        if cfg.graph is not None and cfg.graph.adjacency is not None:
-            if len(cfg.graph.adjacency) != cfg.array.n:
-                raise ConfigError("graph: adjacency size does not match array.n")
-        if cfg.graph is not None and cfg.graph.preset is not None:
-            nodes = graph_preset(cfg.graph.preset).n
-            if nodes != cfg.array.n:
+        if graph is not None and graph.adjacency is not None and len(graph.adjacency) != n:
+            raise ConfigError("graph: adjacency size does not match array.n")
+        if graph is not None and graph.preset is not None:
+            nodes = graph_preset(graph.preset).n
+            if nodes != n:
                 raise ConfigError(
-                    f"graph.preset '{cfg.graph.preset}' has {nodes} nodes but "
-                    f"array.n is {cfg.array.n}"
+                    f"graph.preset '{graph.preset}' has {nodes} nodes but array.n is {n}"
                 )
-        return cfg
-
-    def to_dict(self) -> dict:
-        out: dict = {"array": self.array.to_dict()}
-        for key in ("pump", "measurement", "graph", "optimizer", "sweep"):
-            section = getattr(self, key)
-            if section is not None:
-                out[key] = section.to_dict()
-        out["output"] = self.output.to_dict()
-        return out
 
     def require(self, *names: str) -> None:
         for name in names:

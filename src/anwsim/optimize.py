@@ -199,12 +199,23 @@ class OptimizationResult:
 
 
 def _evaluate(fitness: Callable, x: np.ndarray) -> np.ndarray:
-    """Fitness of a (m, d) batch, checked to be m values."""
-    f = np.asarray(fitness(x), dtype=float)
+    """Fitness of a (m, d) batch, checked to be m finite values.
+
+    Finite states can still sum to a value past the float range, so numpy's
+    overflow warnings are silenced here and a value that is not finite is
+    refused instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(fitness(x), dtype=float)
     if f.shape != (len(x),):
         raise ValueError(
             f"fitness of a ({len(x)}, {x.shape[1]}) batch returned shape {f.shape}, "
             f"expected ({len(x)},)"
+        )
+    if not np.isfinite(f).all():
+        raise ValueError(
+            f"fitness of a ({len(x)}, {x.shape[1]}) batch is not finite: "
+            f"{np.count_nonzero(~np.isfinite(f))} of {len(x)} values"
         )
     return f
 

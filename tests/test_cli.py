@@ -962,6 +962,11 @@ class TestStrictConfig:
                 },
                 "measurement: gains count does not match array.n",
             ),
+            (
+                "verify",
+                {**LINEAR_VERIFY, "graph": {"preset": "linear", "labeling": 5}},
+                "graph.labeling: expected a list of integers, got 5",
+            ),
         ],
         ids=[
             "inf-length",
@@ -977,6 +982,7 @@ class TestStrictConfig:
             "preset-on-n4",
             "preset-on-n6",
             "short-gains",
+            "scalar-labeling",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, command, data, message):

@@ -1,5 +1,7 @@
 """Tests for scenario-file parsing and validation."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from anwsim.config import (
 )
 
 MINIMAL = {"array": {"n": 5, "coupling": 0.24, "length": 30.0}}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def scenario(**extra):
@@ -157,6 +160,31 @@ class TestGraphSection:
         assert g.name == "linear"
         assert np.array_equal(g.labeling, [2, 1, 3, 4, 5])
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"preset": "linear", "labeling": 5}, "graph.labeling: expected a list of integers"),
+            ({"adjacency": 5}, "graph.adjacency: expected a list of rows"),
+            ({"adjacency": [1, 2]}, r"graph.adjacency\[0\]: expected a list of integers"),
+            ({"adjacency": [[0, 1], [1, 0.5]]}, r"graph.adjacency\[1\]: expected an integer"),
+        ],
+        ids=["labeling", "adjacency", "adjacency-row", "adjacency-entry"],
+    )
+    def test_malformed_lists(self, d, message):
+        """A labeling or adjacency that is not a list of integers names the field."""
+        with pytest.raises(ConfigError, match=message):
+            GraphSection.from_dict(d)
+
+    def test_name_only_with_adjacency(self):
+        """A preset carries its own name, so a 'name' beside it is refused."""
+        with pytest.raises(ConfigError, match="graph.name: only an 'adjacency' graph takes a name"):
+            GraphSection.from_dict({"preset": "star", "name": "mine"})
+
+    def test_unnamed_adjacency_is_custom(self):
+        """An adjacency without a name is called "custom", built or parsed."""
+        assert GraphSection.from_dict({"adjacency": [[0]]}).name == "custom"
+        assert GraphSection(adjacency=((0,),)).graph_spec().name == "custom"
+
 
 class TestOptimizerSection:
     """Evolution-strategy block."""
@@ -199,6 +227,11 @@ class TestOptimizerSection:
         with pytest.raises(ConfigError, match="optimizer: restarts must be >= 1"):
             OptimizerSection.from_dict({"fitness": "FC", "restarts": restarts})
 
+    def test_null_leaves_optional_key_unset(self):
+        """A JSON null for a key that defaults to unset means the default."""
+        section = OptimizerSection.from_dict({"fitness": "FC", "restarts": None, "target": None})
+        assert section == OptimizerSection(fitness="FC")
+
 
 class TestSweepSection:
     """Sweep grids for distance or pump amplitude."""
@@ -234,6 +267,12 @@ class TestSweepSection:
         """The grid needs at least one point."""
         with pytest.raises(ConfigError, match="sweep: points must be positive"):
             SweepSection.from_dict({"start": 0.0, "stop": 1.0, "points": 0})
+
+    @pytest.mark.parametrize("grid", [{"start": 0.0}, {"start": 0.0, "stop": 1.0, "points": 3}])
+    def test_values_and_grid_conflict(self, grid):
+        """A grid given both ways is refused rather than half ignored."""
+        with pytest.raises(ConfigError, match="sweep: give 'values' or 'start'/'stop'/'points'"):
+            SweepSection.from_dict({"values": [1.0, 2.0], **grid})
 
 
 class TestOutputSection:
@@ -298,6 +337,30 @@ class TestScenarioConfig:
         cfg = parse_config(d)
         assert parse_config(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PumpSection(amplitudes=(0.01,), phases_pi=(0.0, 0.5)), "lengths differ"),
+            (lambda: GraphSection(), "exactly one of 'preset' or 'adjacency'"),
+            (lambda: OptimizerSection(fitness="FX"), "unknown fitness 'FX'"),
+            (lambda: OptimizerSection(fitness="FC", population=3), "must be >= parents"),
+            (lambda: SweepSection(), "sweep: empty grid"),
+            (lambda: OutputSection(format="yaml"), "format must be 'json' or 'csv'"),
+            (
+                lambda: ScenarioConfig(
+                    array=ArraySection(n=5, coupling=0.24, length=30.0),
+                    pump=PumpSection(amplitudes=(0.01,)),
+                ),
+                "amplitude count does not match array.n",
+            ),
+        ],
+        ids=["pump", "graph", "fitness", "population", "sweep", "output", "scenario"],
+    )
+    def test_built_sections_checked(self, build, message):
+        """Sections built in Python obey the same cross-field rules as parsed ones."""
+        with pytest.raises(ConfigError, match=message):
+            build()
+
     def test_require(self):
         """Commands can demand the sections they need."""
         cfg = parse_config(MINIMAL)
@@ -335,3 +398,73 @@ class TestLoadConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="top level must be an object"):
             load_config(path)
+
+
+class TestEcho:
+    """The echoed dictionary is what a result record embeds, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "data, echo",
+        [
+            (
+                {
+                    "array": {"n": 5, "coupling": 0.24, "length": 30.0},
+                    "pump": {
+                        "amplitudes": [0.092, 0.089, 0.091, 0.091, 0.092],
+                        "phases_pi": [-0.5, -0.5, -0.5, -0.5, -0.5],
+                    },
+                    "measurement": {"lo_phases_pi": [0, 0, 0, 0, 0]},
+                    "graph": {"preset": "linear"},
+                    "optimizer": {"fitness": "FC", "generations": 100, "restarts": 5, "seed": 41},
+                    "sweep": {"variable": "z", "start": 0.0, "stop": 2.0, "points": 5},
+                    "output": {"directory": "out", "format": "csv"},
+                },
+                '{"array": {"n": 5, "coupling": 0.24, "length": 30.0}, '
+                '"pump": {"amplitudes": [0.092, 0.089, 0.091, 0.091, 0.092], '
+                '"phases_pi": [-0.5, -0.5, -0.5, -0.5, -0.5]}, '
+                '"measurement": {"lo_phases_pi": [0.0, 0.0, 0.0, 0.0, 0.0]}, '
+                '"graph": {"preset": "linear"}, '
+                '"optimizer": {"fitness": "FC", "population": 40, "parents": 5, '
+                '"generations": 100, "seed": 41, "sigma0": 0.3, "eta_max": 0.1, "restarts": 5}, '
+                '"sweep": {"variable": "z", "values": [0.0, 0.5, 1.0, 1.5, 2.0]}, '
+                '"output": {"directory": "out", "format": "csv"}}',
+            ),
+            (
+                {
+                    "array": {"n": 2, "coupling": 0.1, "length": 20.0},
+                    "graph": {"labeling": [2, 1], "adjacency": [[0, 1], [1, 0]]},
+                },
+                '{"array": {"n": 2, "coupling": 0.1, "length": 20.0}, '
+                '"graph": {"adjacency": [[0, 1], [1, 0]], "name": "custom", "labeling": [2, 1]}, '
+                '"output": {"directory": ".", "format": "json"}}',
+            ),
+            (
+                {
+                    "array": {"n": 5, "coupling": 0.24, "length": 30.0},
+                    "optimizer": {
+                        "optimize_pump_phases": True,
+                        "target": 1.5,
+                        "restarts": 3,
+                        "fitness": "FM",
+                        "sigma0": 0.2,
+                    },
+                },
+                '{"array": {"n": 5, "coupling": 0.24, "length": 30.0}, '
+                '"optimizer": {"fitness": "FM", "population": 40, "parents": 5, '
+                '"generations": 100, "seed": 0, "sigma0": 0.2, "eta_max": 0.1, '
+                '"restarts": 3, "target": 1.5, "optimize_pump_phases": true}, '
+                '"output": {"directory": ".", "format": "json"}}',
+            ),
+        ],
+        ids=["readme-scenario", "unnamed-adjacency", "optimizer-extras"],
+    )
+    def test_echo_bytes(self, data, echo):
+        """Keys come out in a fixed order; unset and false optional keys stay out."""
+        assert json.dumps(parse_config(data).to_dict()) == echo
+
+    def test_readme_scenario_parses(self):
+        """The scenario shown in README.md is valid under the schema."""
+        text = README.read_text()
+        block = re.search(r"A scenario file holds.*?```json\n(.*?)```", text, re.S).group(1)
+        cfg = parse_config(json.loads(block))
+        assert parse_config(cfg.to_dict()) == cfg

@@ -379,6 +379,15 @@ class TestOptimizeVLF:
                 cfg5, 30.0, amplitude, optimize_pump_phases=True, restarts=1, generations=2
             )
 
+    @pytest.mark.parametrize("amplitude", [5.9, 5.91])
+    def test_pump_phase_search_fitness_overflow_refused(self, cfg5, amplitude):
+        """Finite covariances whose VLF sums pass the float range are refused
+        as a fitness that is not finite; numpy's overflow warning never fires."""
+        with pytest.raises(ValueError, match=r"batch is not finite: \d+ of \d+ values"):
+            optimize_vlf(
+                cfg5, 30.0, amplitude, optimize_pump_phases=True, restarts=1, generations=2
+            )
+
     def test_pump_phase_variant_consistency(self, cfg5):
         """Pump phases join the search with the first guide as reference."""
         opt = optimize_vlf(
