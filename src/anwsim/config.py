@@ -87,7 +87,10 @@ def _flag(value, where: str) -> bool:
 
 
 def _text(value, where: str) -> str:
-    return str(value)
+    """A JSON string; a number or null is not a name."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
 
 
 def _floats(value, where: str) -> tuple[float, ...]:
@@ -249,6 +252,13 @@ class GraphSection(_Section):
         if (self.preset is None) == (self.adjacency is None):
             raise ConfigError("graph: give exactly one of 'preset' or 'adjacency'")
         if self.preset is None:
+            size = len(self.adjacency)
+            for i, row in enumerate(self.adjacency):
+                if len(row) != size:
+                    raise ConfigError(
+                        f"graph.adjacency[{i}]: expected {size} entries (a square matrix), "
+                        f"got {len(row)}"
+                    )
             if self.name is None:
                 object.__setattr__(self, "name", "custom")
         elif self.preset not in PRESETS:

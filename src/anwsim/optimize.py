@@ -77,11 +77,19 @@ _POLISH_EVALS = 8000
 _POLISH_XTOL = 1e-9
 
 _KINDS = ("amplitude", "angle", "gain", "free")
+_START = {"angle": (-np.pi, np.pi), "gain": (-2.0, 2.0), "free": (-1.0, 1.0)}
 
 
 @dataclass(frozen=True)
 class ParameterSpace:
-    """Per-dimension parameter kinds and the bounds they imply."""
+    """Per-dimension parameter kinds, the bounds they imply and the range
+    a random start is drawn from.
+
+    Amplitudes are bounded to [0, eta_max] and start in [0, eta_max);
+    gains are bounded to +/- GAIN_LIMIT and start in [-2, 2); angles are
+    unbounded (wrapped on reporting) and start in [-pi, pi); free
+    dimensions are unbounded and start in [-1, 1).
+    """
 
     kinds: tuple[str, ...]
     eta_max: float = ETA_MAX
@@ -120,6 +128,13 @@ class ParameterSpace:
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """A random start point, drawn by one uniform call over the start
+        ranges in dimension order."""
+        ranges = [(0.0, self.eta_max) if k == "amplitude" else _START[k] for k in self.kinds]
+        low, high = np.array(ranges, dtype=float).reshape(-1, 2).T
+        return rng.uniform(low, high)
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Wrap angle dimensions to (-pi, pi]; other dimensions untouched."""
@@ -359,13 +374,16 @@ def vlf_problem(state: GaussianState) -> OptimizationProblem:
 
 
 def cluster_problem(
-    cfg: ArrayConfig,
-    z: float,
-    graph: GraphSpec,
-    x0: np.ndarray | None = None,
-    eta_max: float = ETA_MAX,
+    cfg: ArrayConfig, z: float, graph: GraphSpec, eta_max: float = ETA_MAX
 ) -> OptimizationProblem:
-    """F_C over (amplitudes, pump phases, lo_phases)."""
+    """F_C over (amplitudes, pump phases, lo_phases), amplitudes bounded
+    to [0, eta_max], with x0 at the unpumped point.
+
+    synthesize_cluster does not start at x0: its first restart starts at
+    a flat-pump grid scan's best cell, later ones at
+    ``ParameterSpace.sample`` (amplitudes in [0, eta_max), angles in
+    [-pi, pi)).
+    """
     n = cfg.n
     rows = nullifier_rows(graph)
 
@@ -376,9 +394,7 @@ def cluster_problem(
     space = ParameterSpace(
         kinds=("amplitude",) * n + ("angle",) * (2 * n), eta_max=eta_max
     )
-    if x0 is None:
-        x0 = np.zeros(3 * n)
-    return OptimizationProblem(fitness=fit, space=space, x0=x0)
+    return OptimizationProblem(fitness=fit, space=space, x0=np.zeros(3 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -388,34 +404,38 @@ def cluster_problem(
 def _multistart(
     fitness: Callable[[np.ndarray], float],
     space: ParameterSpace,
-    start: Callable[[int], tuple[np.ndarray, float | np.ndarray]],
-    es_seed: Callable[[int], int],
+    first: tuple[np.ndarray, float | np.ndarray] | None,
+    sigma: float | np.ndarray,
     es: ESConfig,
     restarts: int,
     seed: int,
     stop: Callable[[OptimizationResult], bool] | None = None,
+    es_seed: Callable[[int], int] = lambda r: 1000 * r,
 ) -> tuple[OptimizationResult, int]:
     """Run the ES from up to ``restarts`` starting points and merge the runs.
 
-    ``start(r)`` gives restart r's (x0, sigma0) and is called only for a
-    restart that runs, so random starts keep their draw order. ``es``
+    Restart 0 starts from ``first``, an (x0, sigma0) pair; every other
+    restart, and restart 0 when ``first`` is None, starts from
+    ``space.sample`` of a generator seeded with ``seed``, with step
+    ``sigma``. A start is drawn only for a restart that runs. ``es``
     holds the population, parents, generation budget and in-run target;
-    ``es_seed(r)`` seeds restart r. ``stop`` is tested whenever the best
-    run improves and ends the search when it holds. The merged result
-    carries the best parameters, the best-so-far trace over all runs,
-    the summed evaluations and ``seed``; it is returned with the number
-    of restarts run.
+    restart r's ES is seeded with ``seed + es_seed(r)``. ``stop`` is
+    tested whenever the best run improves and ends the search when it
+    holds. The merged result carries the best parameters, the
+    best-so-far trace over all runs, the summed evaluations and
+    ``seed``; it is returned with the number of restarts run.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    rng = np.random.default_rng(seed)
     best: OptimizationResult | None = None
     trace: list[float] = []
     evals = 0
     for r in range(restarts):
-        x0, sigma0 = start(r)
+        x0, sigma0 = first if r == 0 and first is not None else (space.sample(rng), sigma)
         res = evolve(
             OptimizationProblem(fitness, space, x0),
-            replace(es, sigma0=sigma0, seed=es_seed(r)),
+            replace(es, sigma0=sigma0, seed=seed + es_seed(r)),
         )
         evals += res.evaluations
         running = best.fitness if best is not None else np.inf
@@ -484,16 +504,12 @@ def optimize_vlf(
     batch whose propagators overflow raises ValueError too.
     """
     n = cfg.n
-    es = ESConfig(population=population, parents=parents, max_generations=generations)
     if optimize_pump_phases:
 
         def pump_phases(p: np.ndarray) -> np.ndarray:
             # guide 1 is the phase reference; the rest accumulate offsets
             rel = np.cumsum(p[..., 2 * n :], axis=-1)
             return np.concatenate([np.zeros(rel.shape[:-1] + (1,)), rel], axis=-1)
-
-        def phased(p: np.ndarray) -> PumpProfile:
-            return PumpProfile(np.full(n, amplitude), pump_phases(p))
 
         def fit(p: np.ndarray) -> np.ndarray:
             p = np.asarray(p, dtype=float)
@@ -502,33 +518,18 @@ def optimize_vlf(
             return vlf_values_batch(v, p[..., :n], p[..., n : 2 * n]).sum(axis=-1)
 
         space = ParameterSpace(kinds=("angle",) * n + ("gain",) * n + ("angle",) * (n - 1))
-        rng = np.random.default_rng(seed)
-
-        def start(r: int):
-            if r == 0:
-                return np.zeros(3 * n - 1), sigma0
-            x0 = np.concatenate(
-                [
-                    rng.uniform(-np.pi, np.pi, n),
-                    rng.uniform(-2.0, 2.0, n),
-                    rng.uniform(-np.pi, np.pi, n - 1),
-                ]
-            )
-            return x0, 5.0 * sigma0
-
+        x0 = np.zeros(3 * n - 1)
     else:
         pump = PumpProfile.flat(n, amplitude)
         state = propagator_exact(cfg, pump, z)
         problem = vlf_problem(state)
-        fit, space, restarts = problem.fitness, problem.space, 1
+        fit, space, x0, restarts = problem.fitness, problem.space, problem.x0, 1
 
-        def start(r: int):
-            return problem.x0, sigma0
-
-    res, _ = _multistart(fit, space, start, lambda r: seed + 1000 * r, es, restarts, seed)
+    es = ESConfig(population=population, parents=parents, max_generations=generations)
+    res, _ = _multistart(fit, space, (x0, sigma0), 5.0 * sigma0, es, restarts, seed)
     theta, gains = res.parameters[:n], res.parameters[n : 2 * n]
     if optimize_pump_phases:
-        pump = phased(res.parameters)
+        pump = PumpProfile(np.full(n, amplitude), pump_phases(res.parameters))
         state = propagator_exact(cfg, pump, z)
     return VLFOptimum(
         optimization=res,
@@ -560,12 +561,14 @@ class ClusterSynthesis:
         return float(self.report.nullifier_variances.sum())
 
 
-def _flat_scan(problem: OptimizationProblem, n: int, eta_max: float) -> np.ndarray:
-    """Coarse grid over flat-pump working points (common amplitude and
-    common phase, LO untouched), evaluated as one batch; the best cell
-    seeds the first restart."""
-    cells = np.zeros((120, 3 * n))
-    cells[:, :n] = np.repeat(np.linspace(eta_max / 10.0, eta_max, 10), 12)[:, None]
+def _flat_scan(problem: OptimizationProblem) -> np.ndarray:
+    """Coarse grid over flat-pump working points (common amplitude up to
+    the space's eta_max and common phase, LO untouched) of a cluster
+    problem, evaluated as one batch; the best cell seeds the first restart."""
+    space = problem.space
+    n = space.dimension // 3
+    cells = np.zeros((120, space.dimension))
+    cells[:, :n] = np.repeat(np.linspace(space.eta_max / 10.0, space.eta_max, 10), 12)[:, None]
     cells[:, n : 2 * n] = np.tile(np.linspace(-np.pi, np.pi, 12, endpoint=False), 10)[:, None]
     return cells[int(np.argmin(problem.fitness(cells)))]
 
@@ -587,7 +590,8 @@ def synthesize_cluster(
     The landscape is deceptive: broad shallow basins surround the good
     optima, so the first restart is seeded from a coarse flat-pump grid
     scan with a tight step size, and later restarts draw random starting
-    points with a wide angular step. Stops as soon as the target total
+    points (``ParameterSpace.sample``: amplitudes in [0, eta_max), angles
+    in [-pi, pi)) with a wide angular step. Stops as soon as the target total
     variance is reached. The graph is searched as its search_equivalent,
     whose LO phase shift carries the optimum back. Raises ValueError
     before searching when the graph has no known inseparability bounds,
@@ -601,27 +605,11 @@ def synthesize_cluster(
     )
     spec, shift = search_equivalent(graph)
     problem = cluster_problem(cfg, z, spec, eta_max=eta_max)
-    rng = np.random.default_rng(seed)
-
-    def start(r: int):
-        if r == 0:
-            x_scan = _flat_scan(problem, n, eta_max)
-            return x_scan, np.concatenate([np.full(n, 0.005), np.full(2 * n, 0.1)])
-        x0 = np.concatenate(
-            [rng.uniform(0.0, eta_max, n), rng.uniform(-np.pi, np.pi, 2 * n)]
-        )
-        return x0, np.concatenate([np.full(n, 0.02), np.full(2 * n, 0.8)])
-
-    best, used = _multistart(
-        problem.fitness,
-        problem.space,
-        start,
-        lambda r: seed + 1000 * r,
-        es,
-        restarts,
-        seed,
-        None if target is None else lambda best: best.fitness <= target,
-    )
+    tight = np.concatenate([np.full(n, 0.005), np.full(2 * n, 0.1)])
+    wide = np.concatenate([np.full(n, 0.02), np.full(2 * n, 0.8)])
+    stop = None if target is None else lambda best: best.fitness <= target
+    first = (_flat_scan(problem), tight)
+    best, used = _multistart(problem.fitness, problem.space, first, wide, es, restarts, seed, stop)
     pump = PumpProfile(best.parameters[:n], best.parameters[n : 2 * n])
     theta = best.parameters[2 * n :]
     if shift is not None:
@@ -819,12 +807,18 @@ def synthesize_emulation(
     mixing angles only; for each candidate the optimal LO phases and
     postprocessing rotation have a closed form (phase-rotation projection
     of a unitary), which removes N + N(N-1)/2 dimensions from the search.
-    The winner is polished by a multi-directional simplex search
-    (``_polish``) whose reflect/expand and contract steps are each one
-    batch of the reduced F_P, and the eliminated parameters are
-    reconstructed so the reported vector evaluates to the same F_P
-    through the full fitness. The polish's evaluation count and stop
-    reason are reported with the result.
+    Every restart starts from a random point of the space
+    (``ParameterSpace.sample``: amplitudes in [0, eta_max), angles in
+    [-pi, pi)). The winner is polished by a multi-directional simplex
+    search (``_polish``) whose reflect/expand and contract steps are each
+    one batch of the reduced F_P. The polish is unbounded, and reads a
+    negative amplitude as its magnitude with a pi pump-phase shift; its
+    point is reported, folded that way, only when it beats the ES winner
+    and every folded amplitude is at most eta_max, and the ES winner is
+    reported otherwise. So every reported amplitude lies in [0, eta_max].
+    The eliminated parameters are reconstructed so the reported vector
+    evaluates to the same F_P through the full fitness. The polish's
+    evaluation count and stop reason are reported with the result.
 
     ``target`` is an early-stop threshold on the summed cluster-basis
     nullifier variances (with every variance also below shot noise).
@@ -836,11 +830,15 @@ def synthesize_emulation(
     na = n * (n - 1) // 2
     uc = cluster_transform(graph).unitary
 
-    def _pump(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # negative amplitude = positive amplitude with a pi phase shift,
         # keeping the fitness smooth for the unconstrained simplex polish
         amp = p[..., :n]
-        return np.abs(amp), _wrap_angle(p[..., n : 2 * n] + np.where(amp < 0, np.pi, 0.0))
+        return np.abs(amp), p[..., n : 2 * n] + np.where(amp < 0, np.pi, 0.0)
+
+    def _pump(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        amp, phases = fold(p)
+        return amp, _wrap_angle(phases)
 
     def reduced(p: np.ndarray) -> np.ndarray | float:
         p = np.asarray(p, dtype=float)
@@ -853,7 +851,6 @@ def synthesize_emulation(
     space = ParameterSpace(
         kinds=("amplitude",) * n + ("angle",) * (n + na), eta_max=eta_max
     )
-    rng = np.random.default_rng(seed)
     sigma0 = np.concatenate([np.full(n, 0.02), np.full(n + na, 0.5)])
 
     def summarize(p: np.ndarray):
@@ -863,29 +860,22 @@ def synthesize_emulation(
         o = euler_orthogonal(p[2 * n :], n)
         return pump, state, w_out, o, cluster_nullifier_variances(graph, gains, o)
 
-    def start(r: int):
-        x0 = np.concatenate(
-            [rng.uniform(0.0, eta_max, n), rng.uniform(-np.pi, np.pi, n + na)]
-        )
-        return x0, sigma0
-
     def reached(best: OptimizationResult) -> bool:
         variances = summarize(best.parameters)[-1]
         return bool(variances.sum() <= target and variances.max() < 1.0)
 
+    es = ESConfig(population=population, parents=parents, max_generations=generations)
+    stop = None if target is None else reached
     best, _ = _multistart(
-        reduced,
-        space,
-        start,
-        lambda r: seed + 101 * r + 1,
-        ESConfig(population=population, parents=parents, max_generations=generations),
-        restarts,
-        seed,
-        None if target is None else reached,
+        reduced, space, None, sigma0, es, restarts, seed, stop, es_seed=lambda r: 101 * r + 1
     )
     x_pol, f_pol, polish_evals, polish_stop = _polish(reduced, best.parameters)
-    x = space.wrap(x_pol if f_pol <= best.fitness else best.parameters)
-    fp = min(f_pol, best.fitness)
+    amp, phases = fold(x_pol)
+    if f_pol <= best.fitness and amp.max() <= eta_max:
+        x, fp = np.concatenate([amp, phases, x_pol[2 * n :]]), f_pol
+    else:
+        x, fp = best.parameters, best.fitness
+    x = space.wrap(x)
 
     pump, state, w_out, o, variances = summarize(x)
     p_opt, theta, _ = _nearest_phase_rotation(uc @ o @ w_out.conj().T)

@@ -992,6 +992,29 @@ class TestStrictConfig:
         assert f"anwsim: error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ragged_adjacency_refused(self, tmp_path, capsys):
+        """A ragged adjacency names its row, not numpy's shape error."""
+        data = {
+            "array": {**ARRAY, "n": 2},
+            "graph": {"adjacency": [[0, 1], [1]]},
+            "optimizer": {"fitness": "FP", "generations": 1, "restarts": 1},
+        }
+        out = tmp_path / "out"
+        assert run(["cluster", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "anwsim: error: graph.adjacency[1]: expected 2 entries (a square matrix), got 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("directory", [5, None])
+    def test_directory_must_be_text(self, tmp_path, capsys, monkeypatch, directory):
+        """A number or null output directory is refused, not written into as a folder."""
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, {"array": ARRAY, "output": {"directory": directory}})
+        assert run(["supermodes", "--config", cfg_path]) == 1
+        message = f"output.directory: expected a string, got {directory!r}"
+        assert f"anwsim: error: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
 
 class TestDriver:
     """Top-level argument handling."""

@@ -290,6 +290,23 @@ class TestOutputSection:
             OutputSection.from_dict({"format": "yaml"})
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (OutputSection, "directory"),
+        (OutputSection, "format"),
+        (SweepSection, "variable"),
+        (OptimizerSection, "fitness"),
+        (GraphSection, "preset"),
+        (GraphSection, "name"),
+    ],
+)
+def test_string_keys_refuse_other_types(section, key):
+    """Every string key refuses a value that is not a JSON string."""
+    with pytest.raises(ConfigError, match=f"{section._where}.{key}: expected a string, got 5"):
+        section.from_dict({key: 5})
+
+
 class TestScenarioConfig:
     """Whole-file validation and round-tripping."""
 
@@ -323,6 +340,16 @@ class TestScenarioConfig:
         """Custom adjacency matrices must match the array size."""
         with pytest.raises(ConfigError, match="adjacency size does not match array.n"):
             parse_config(scenario(graph={"adjacency": [[0, 1], [1, 0]]}))
+
+    def test_ragged_adjacency_row(self):
+        """A row of another length than the matrix's row count is named by
+        its index, in a parsed scenario and in a section built in Python."""
+        message = r"graph.adjacency\[1\]: expected 2 entries \(a square matrix\), got 1"
+        d = dict(MINIMAL, array={"n": 2, "coupling": 0.24, "length": 30.0})
+        with pytest.raises(ConfigError, match=message):
+            parse_config(dict(d, graph={"adjacency": [[0, 1], [1]]}))
+        with pytest.raises(ConfigError, match=message):
+            GraphSection(adjacency=((0, 1), (1,)))
 
     def test_round_trip(self):
         """to_dict echoes a dictionary that parses back to the same config."""

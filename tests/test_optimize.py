@@ -108,6 +108,23 @@ class TestParameterSpace:
         clipped = space.clip(np.array([0.5, -20.0, 9.0]))
         assert np.allclose(clipped, [ETA_MAX, -GAIN_LIMIT, 9.0])
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.sampled_from(("amplitude", "angle", "gain", "free")), min_size=1, max_size=12),
+        st.floats(1e-3, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sample_within_bounds(self, kinds, eta_max, seed):
+        """A random start lies within the space's bounds and its start ranges."""
+        space = ParameterSpace(kinds=tuple(kinds), eta_max=eta_max)
+        x = space.sample(np.random.default_rng(seed))
+        assert x.shape == (space.dimension,)
+        assert np.all((space.lower <= x) & (x <= space.upper))
+        angles = np.array([k == "angle" for k in kinds])
+        assert np.all((-np.pi <= x[angles]) & (x[angles] < np.pi))
+        gains = np.array([k == "gain" for k in kinds])
+        assert np.all((-2.0 <= x[gains]) & (x[gains] < 2.0))
+
     def test_wrap_angles_only(self):
         """Wrapping folds angles to (-pi, pi] and leaves the rest alone."""
         space = ParameterSpace(kinds=("angle", "gain", "angle"))
@@ -419,6 +436,86 @@ class TestRestartCount:
             synthesize_emulation(cfg5, 30.0, graph_preset("linear"), restarts=0)
 
 
+class TestRestartRule:
+    """Each driver's restarts: start point, step size and ES seed, bit for
+    bit against the rule written out with per-kind uniform draws."""
+
+    @staticmethod
+    def record(monkeypatch):
+        runs = []
+        real = optimize.evolve
+
+        def spy(problem, config):
+            runs.append((problem.x0.copy(), np.asarray(config.sigma0, dtype=float), config.seed))
+            return real(problem, config)
+
+        monkeypatch.setattr(optimize, "evolve", spy)
+        return runs
+
+    @staticmethod
+    def check(runs, expected):
+        assert len(runs) == len(expected)
+        for (x0, sigma0, seed), (want_x0, want_sigma0, want_seed) in zip(runs, expected):
+            assert x0.tobytes() == np.asarray(want_x0, dtype=float).tobytes()
+            assert sigma0.tobytes() == np.asarray(want_sigma0, dtype=float).tobytes()
+            assert seed == want_seed
+
+    def test_vlf_pump_phases(self, cfg5, monkeypatch):
+        runs = self.record(monkeypatch)
+        optimize_vlf(
+            cfg5, 30.0, 0.015, optimize_pump_phases=True, seed=7, generations=1,
+            restarts=3, population=8, parents=2,
+        )
+        rng = np.random.default_rng(7)
+        expected = [(np.zeros(14), 0.1, 7)]
+        for r in (1, 2):
+            x0 = np.concatenate(
+                [rng.uniform(-np.pi, np.pi, 5), rng.uniform(-2.0, 2.0, 5),
+                 rng.uniform(-np.pi, np.pi, 4)]
+            )
+            expected.append((x0, 5.0 * 0.1, 7 + 1000 * r))
+        self.check(runs, expected)
+
+    def test_vlf_detection_only(self, cfg5, monkeypatch):
+        runs = self.record(monkeypatch)
+        optimize_vlf(cfg5, 30.0, 0.015, seed=7, generations=1, restarts=3, population=8, parents=2)
+        self.check(runs, [(np.zeros(10), 0.1, 7)])
+
+    def test_cluster(self, cfg5, monkeypatch):
+        runs = self.record(monkeypatch)
+        graph = graph_preset("pentagon")
+        synthesize_cluster(
+            cfg5, 30.0, graph, seed=41, restarts=3, generations=1, parents=2, population=8
+        )
+        cells = np.zeros((120, 15))
+        cells[:, :5] = np.repeat(np.linspace(ETA_MAX / 10.0, ETA_MAX, 10), 12)[:, None]
+        cells[:, 5:10] = np.tile(np.linspace(-np.pi, np.pi, 12, endpoint=False), 10)[:, None]
+        x_scan = cells[int(np.argmin(cluster_problem(cfg5, 30.0, graph).fitness(cells)))]
+        rng = np.random.default_rng(41)
+        expected = [(x_scan, np.concatenate([np.full(5, 0.005), np.full(10, 0.1)]), 41)]
+        for r in (1, 2):
+            x0 = np.concatenate([rng.uniform(0.0, ETA_MAX, 5), rng.uniform(-np.pi, np.pi, 10)])
+            expected.append(
+                (x0, np.concatenate([np.full(5, 0.02), np.full(10, 0.8)]), 41 + 1000 * r)
+            )
+        self.check(runs, expected)
+
+    def test_emulation(self, cfg5, monkeypatch):
+        runs = self.record(monkeypatch)
+        monkeypatch.setattr(optimize, "_polish", lambda fitness, x0: (x0, np.inf, 0, "budget"))
+        synthesize_emulation(
+            cfg5, 30.0, graph_preset("star"), seed=11, restarts=2, generations=1,
+            eta_max=0.05, population=8, parents=2,
+        )
+        rng = np.random.default_rng(11)
+        sigma0 = np.concatenate([np.full(5, 0.02), np.full(15, 0.5)])
+        expected = []
+        for r in (0, 1):
+            x0 = np.concatenate([rng.uniform(0.0, 0.05, 5), rng.uniform(-np.pi, np.pi, 15)])
+            expected.append((x0, sigma0, 11 + 101 * r + 1))
+        self.check(runs, expected)
+
+
 class TestSynthesizeCluster:
     """Fixed-basis cluster synthesis driver (small budgets)."""
 
@@ -538,6 +635,21 @@ class TestSynthesizeEmulation:
         mixing = euler_orthogonal(syn.mixing_euler, 5)
         assert np.array_equal(
             syn.nullifier_variances, cluster_nullifier_variances(graph, gains, mixing)
+        )
+
+    @pytest.mark.parametrize("name", ["linear", "star"])
+    def test_polish_kept_under_pump_ceiling(self, cfg5, name):
+        """The unbounded polish may leave the pump ceiling (linear) or end on
+        a negative amplitude (star); the reported pump never leaves
+        [0, eta_max], and the reported vector is folded to amplitudes >= 0."""
+        graph = graph_preset(name)
+        syn = synthesize_emulation(
+            cfg5, 30.0, graph, seed=11, restarts=1, generations=3, eta_max=0.05
+        )
+        assert syn.pump.amplitudes.max() <= 0.05
+        assert np.all(syn.optimization.parameters[:5] >= 0.0)
+        assert np.isclose(
+            fitness_FP(cfg5, 30.0, graph, syn.parameters), syn.fp, atol=1e-8, rtol=1e-6
         )
 
     def test_lost_symplecticity_raises(self, cfg5):
