@@ -401,6 +401,20 @@ def cluster_problem(
 # multi-start driver shared by the synthesis searches
 
 
+def _check_ceiling(cfg: ArrayConfig, z: float, name: str, ceiling: float) -> None:
+    """Refuse, before any search, a pump ceiling the propagator cannot carry.
+
+    Propagates the flat phase-0 pump at the ceiling once: of the pumps a
+    search can reach, it had the largest symplectic defect at every
+    ceiling measured. That is measured, not proven, so the drivers still
+    check their winner. The message names the ceiling and the length.
+    """
+    try:
+        propagator_exact(cfg, PumpProfile.flat(cfg.n, ceiling), z)
+    except ValueError as err:
+        raise ValueError(f"{err} (flat phase-0 pump at {name}={ceiling}, z={z})") from None
+
+
 def _multistart(
     fitness: Callable[[np.ndarray], float],
     space: ParameterSpace,
@@ -500,8 +514,10 @@ def optimize_vlf(
     starts at the neutral point and later ones at random settings with
     a wider step. rho comes from propagator_exact, which raises
     ValueError for a propagator that lost symplecticity: before the
-    detection-only search, after the search with pump phases. A search
-    batch whose propagators overflow raises ValueError too.
+    detection-only search, after the search with pump phases. With pump
+    phases, a flat phase-0 pump at ``amplitude`` that loses symplecticity
+    is refused before the search (_check_ceiling), and a search batch
+    whose propagators overflow raises ValueError too.
     """
     n = cfg.n
     if optimize_pump_phases:
@@ -519,6 +535,7 @@ def optimize_vlf(
 
         space = ParameterSpace(kinds=("angle",) * n + ("gain",) * n + ("angle",) * (n - 1))
         x0 = np.zeros(3 * n - 1)
+        _check_ceiling(cfg, z, "amplitude", amplitude)
     else:
         pump = PumpProfile.flat(n, amplitude)
         state = propagator_exact(cfg, pump, z)
@@ -594,9 +611,10 @@ def synthesize_cluster(
     in [-pi, pi)) with a wide angular step. Stops as soon as the target total
     variance is reached. The graph is searched as its search_equivalent,
     whose LO phase shift carries the optimum back. Raises ValueError
-    before searching when the graph has no known inseparability bounds,
-    from a search batch whose propagators overflow, and from
-    propagator_exact when the winner lost symplecticity.
+    before searching when the graph has no known inseparability bounds
+    or when the flat phase-0 pump at eta_max loses symplecticity
+    (_check_ceiling), from a search batch whose propagators overflow,
+    and from propagator_exact when the winner lost symplecticity.
     """
     n = cfg.n
     bounds = inseparability_bounds(graph)
@@ -608,6 +626,7 @@ def synthesize_cluster(
     tight = np.concatenate([np.full(n, 0.005), np.full(2 * n, 0.1)])
     wide = np.concatenate([np.full(n, 0.02), np.full(2 * n, 0.8)])
     stop = None if target is None else lambda best: best.fitness <= target
+    _check_ceiling(cfg, z, "eta_max", eta_max)
     first = (_flat_scan(problem), tight)
     best, used = _multistart(problem.fitness, problem.space, first, wide, es, restarts, seed, stop)
     pump = PumpProfile(best.parameters[:n], best.parameters[n : 2 * n])
@@ -721,18 +740,21 @@ def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     p[np.linalg.det(p) < 0, :, -1] *= -1.0
     theta = _phase_match(p, w)
     # the sweeps run on the rows still improving; a row is written back
-    # when it stops, on its gain test or at the cap
+    # when it stops, on its gain test or at the cap; exp(i theta) is taken
+    # once per sweep, for the distance (conjugated) and the next polar step
     dist = np.full(len(w), np.inf)
-    rows, wa, ta, prev = np.arange(len(w)), w, theta, dist
+    rows, wa, ta, ea, prev = np.arange(len(w)), w, theta, np.exp(1j * theta), dist
     for sweep in range(_POLAR_SWEEPS):
-        pa = _polar_so((wa * np.exp(1j * ta)[:, None, :]).real)
+        pa = _polar_so((wa * ea[:, None, :]).real)
         ta = _phase_match(pa, wa)
-        da = _frobenius(wa - pa * np.exp(-1j * ta)[:, None, :])
+        ea = np.exp(1j * ta)
+        da = _frobenius(wa - pa * ea.conj()[:, None, :])
         done = (prev - da < _POLAR_TOL) | (sweep == _POLAR_SWEEPS - 1)
         if np.count_nonzero(done):
             k = rows[done]
             p[k], theta[k], dist[k] = pa[done], ta[done], da[done]
-            rows, wa, ta, da = rows[~done], wa[~done], ta[~done], da[~done]
+            keep = ~done
+            rows, wa, ta, ea, da = rows[keep], wa[keep], ta[keep], ea[keep], da[keep]
             if not rows.size:
                 break
         prev = da
@@ -824,7 +846,9 @@ def synthesize_emulation(
     nullifier variances (with every variance also below shot noise).
     The report comes from the winner's propagator_exact state, which
     raises ValueError when it lost symplecticity; a search batch whose
-    propagators overflow raises ValueError too.
+    propagators overflow raises ValueError too, and so does, before the
+    search, a flat phase-0 pump at eta_max that loses symplecticity
+    (_check_ceiling).
     """
     n = cfg.n
     na = n * (n - 1) // 2
@@ -866,6 +890,7 @@ def synthesize_emulation(
 
     es = ESConfig(population=population, parents=parents, max_generations=generations)
     stop = None if target is None else reached
+    _check_ceiling(cfg, z, "eta_max", eta_max)
     best, _ = _multistart(
         reduced, space, None, sigma0, es, restarts, seed, stop, es_seed=lambda r: 101 * r + 1
     )

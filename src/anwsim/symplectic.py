@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 __all__ = [
     "SYMPLECTIC_TOL",
@@ -84,15 +85,67 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square real or complex matrix.
 
     A (..., m, m) stack is exponentiated slice by slice; each slice equals
-    the exponential of that matrix alone, bit for bit. An exponential
+    scipy.linalg.expm of that matrix alone, bit for bit. An exponential
     too large for floats comes back with inf or nan entries, without a
     warning; require_symplectic refuses such a propagator.
+
+    The general slices go through scipy's own Pade kernels
+    (``scipy.linalg._matfuncs_expm``, Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31:970, 2009) one by one, and their squarings run as one
+    stacked product per level. Those kernels are private, so the scipy
+    floor in pyproject.toml is the release this was checked against.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square in its last two axes, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return expm(a)
+        # one matrix has no slice loop to save; scipy special-cases 1x1 and empty
+        if a.ndim == 2 or a.size == 0 or a.shape[-1] == 1:
+            return expm(a)
+        return _expm_stack(a)
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of a (..., m, m) stack with m >= 2, without its slice loop."""
+    if not np.issubdtype(a.dtype, np.inexact):
+        a = a.astype(np.float64)
+    elif a.dtype == np.float16:
+        a = a.astype(np.float32)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    out = np.empty(flat.shape, dtype=a.dtype)
+    # scipy.linalg.bandwidth's test, for the whole stack: nan counts as nonzero
+    nonzero = flat != 0
+    strict = np.tri(n, k=-1, dtype=bool)
+    lower = (nonzero & strict).any(axis=(1, 2))
+    upper = (nonzero & strict.T).any(axis=(1, 2))
+    # diagonal and triangular slices keep scipy's own shortcuts
+    banded = ~(lower & upper)
+    if banded.any():
+        out[banded] = expm(flat[banded])
+    general = np.flatnonzero(lower & upper)
+    if general.size:
+        # one scratch for scipy's kernels, as in expm's own slice loop
+        am = np.empty((5, n, n), dtype=a.dtype)
+        e = np.empty((general.size, n, n), dtype=a.dtype)
+        squarings = np.empty(general.size, dtype=int)
+        for k, i in enumerate(general):
+            am[0] = flat[i]
+            m, squarings[k] = pick_pade_structure(am)
+            if m < 0:
+                raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
+            info = pade_UV_calc(am, m)
+            if info != 0:
+                raise RuntimeError(f"expm's Pade solve failed (error code {info})")
+            e[k] = am[0]
+        # most squarings first, so each level squares a prefix of the stack
+        order = np.argsort(-squarings, kind="stable")
+        e = e[order]
+        for level in range(squarings.max()):
+            c = int(np.count_nonzero(squarings > level))
+            e[:c] = e[:c] @ e[:c]
+        out[general[order]] = e
+    return out.reshape(a.shape)
 
 
 @dataclass(frozen=True)

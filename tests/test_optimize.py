@@ -12,6 +12,7 @@ from anwsim import (
     ESConfig,
     ETA_MAX,
     GAIN_LIMIT,
+    SYMPLECTIC_TOL,
     GraphSpec,
     OptimizationProblem,
     ParameterSpace,
@@ -28,6 +29,7 @@ from anwsim import (
     nullifiers_for,
     optimize_vlf,
     propagator_exact,
+    symplectic_error,
     synthesize_cluster,
     synthesize_emulation,
     vlf_problem,
@@ -397,9 +399,12 @@ class TestOptimizeVLF:
             )
 
     @pytest.mark.parametrize("amplitude", [5.9, 5.91])
-    def test_pump_phase_search_fitness_overflow_refused(self, cfg5, amplitude):
+    def test_pump_phase_search_fitness_overflow_refused(self, cfg5, amplitude, monkeypatch):
         """Finite covariances whose VLF sums pass the float range are refused
-        as a fitness that is not finite; numpy's overflow warning never fires."""
+        as a fitness that is not finite; numpy's overflow warning never fires.
+        The ceiling probe refuses these amplitudes first, so it is bypassed
+        to reach the batch check behind it."""
+        monkeypatch.setattr(optimize, "_check_ceiling", lambda *args: None)
         with pytest.raises(ValueError, match=r"batch is not finite: \d+ of \d+ values"):
             optimize_vlf(
                 cfg5, 30.0, amplitude, optimize_pump_phases=True, restarts=1, generations=2
@@ -660,6 +665,52 @@ class TestSynthesizeEmulation:
                 cfg5, 30.0, graph_preset("pentagon"), seed=11,
                 restarts=1, generations=3, eta_max=1.0,
             )
+
+
+class TestCeilingProbe:
+    """A pump ceiling whose flat phase-0 pump loses symplecticity is
+    refused before the first fitness batch, not after a whole search."""
+
+    @pytest.mark.parametrize(
+        "search, name",
+        [
+            (
+                lambda cfg: synthesize_emulation(
+                    cfg, 30.0, graph_preset("pentagon"), restarts=1, generations=3,
+                    eta_max=1.0,
+                ),
+                "eta_max=1.0",
+            ),
+            (
+                lambda cfg: synthesize_cluster(
+                    cfg, 30.0, graph_preset("pentagon"), restarts=1, generations=2,
+                    eta_max=3.0,
+                ),
+                "eta_max=3.0",
+            ),
+            (
+                lambda cfg: optimize_vlf(
+                    cfg, 30.0, 3.0, optimize_pump_phases=True, restarts=1, generations=2
+                ),
+                "amplitude=3.0",
+            ),
+        ],
+        ids=["FP", "FC", "FM"],
+    )
+    def test_refused_before_search(self, cfg5, monkeypatch, search, name):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(optimize, "_multistart", no_search)
+        monkeypatch.setattr(optimize, "_flat_scan", no_search)
+        with pytest.raises(ValueError, match="matrix is not symplectic: deviation") as err:
+            search(cfg5)
+        assert f"{name}, z=30.0" in str(err.value)
+
+    def test_default_ceiling_passes_with_margin(self, cfg5):
+        """At the default ceiling the probe's defect is far under tolerance."""
+        s = propagator_exact(cfg5, PumpProfile.flat(5, ETA_MAX), 30.0).propagator
+        assert symplectic_error(s) < SYMPLECTIC_TOL / 10
 
 
 def shifted_quadratic(d, condition=1e3, seed=5):

@@ -1,12 +1,15 @@
 """Property tests: config round-trips, basis-change invariants, stacked
-measurement and symplecticity paths that must agree with their one-item
-counterparts bit for bit, and the powered RK4 against a step loop."""
+measurement, symplecticity and matrix-exponential paths that must agree
+with their one-item counterparts bit for bit, and the powered RK4 against
+a step loop."""
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from anwsim import (
     ArrayConfig,
@@ -14,6 +17,7 @@ from anwsim import (
     PumpProfile,
     bloch_messiah,
     change_basis,
+    mat_exp,
     min_variance,
     min_variances,
     parse_config,
@@ -177,6 +181,74 @@ def test_squeezing_db_elementwise(values):
     assert all(db[i] == squeezing_db(x) for i, x in enumerate(values))
     with pytest.raises(ValueError, match="variance must be positive, got 0.0"):
         squeezing_db(np.insert(v, len(v) // 2, 0.0).reshape(-1, 1))
+
+
+def _general(rng, n, norm, band):
+    """Integer pattern with entries above and below the diagonal, scaled to
+    a 1-norm of at least ``norm`` by a whole factor (so it stays exact in
+    an integer dtype); ``band`` keeps it tridiagonal."""
+    g = rng.integers(-3, 4, (n, n))
+    if band:
+        g = np.triu(np.tril(g, 1), -1).clip(-1, 1)
+    g[1, 0], g[0, 1] = 1, -1
+    return g * max(1, int(np.ceil(norm / np.abs(g).sum(axis=0).max())))
+
+
+def _slice(rng, n, kind):
+    if kind == "zero":
+        return np.zeros((n, n), dtype=int)
+    if kind == "small":  # 1-norm at most 3: no squaring
+        return _general(rng, n, 0, band=True)
+    if kind == "large":  # 1-norm from 200 to under 709: 5 or more squarings, finite
+        return _general(rng, n, rng.uniform(200, 600), band=False)
+    if kind == "overflow":  # eigenvalue real parts 1000: exp passes the float range
+        return 1000 * np.eye(n, dtype=int) + np.eye(n, k=1, dtype=int) - np.eye(n, k=-1, dtype=int)
+    g = _general(rng, n, 10.0 ** rng.uniform(-1, 3), band=False)
+    return {"diagonal": np.diag(np.diag(g)), "upper": np.triu(g), "lower": np.tril(g)}[kind]
+
+
+BANDED = ("zero", "diagonal", "upper", "lower")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.sampled_from(["float64", "complex128", "int64"]),
+    st.one_of(
+        st.sampled_from(BANDED + ("small", "large", "overflow")).map(lambda k: [k]),
+        st.lists(st.sampled_from(BANDED), min_size=3, max_size=3).map(
+            lambda b: b + ["small", "large", "overflow"]
+        ),
+    ),
+)
+def test_mat_exp_bit_equal_to_expm(seed, n, dtype, kinds):
+    """Each slice of a stack equals scipy.linalg.expm of that slice, bit for
+    bit and nan for nan: zero, diagonal and triangular slices, slices from
+    0 to 5 or more squarings, and an overflowed slice among finite ones.
+    One kind gives a single matrix, six a (2, 3) stack in drawn order."""
+    rng = np.random.default_rng(seed)
+    slices = [_slice(rng, n, k) for k in kinds]
+    if dtype == "complex128":
+        slices = [a + 1j * rng.permutation(a) for a in slices]
+    order = rng.permutation(len(kinds))
+    stack = np.array([slices[i] for i in order]).astype(dtype)
+    if len(kinds) > 1:
+        work = np.zeros((2, 5, n, n), dtype=complex if dtype == "complex128" else float)
+        work[:, 0] = [slices[kinds.index("small")], slices[kinds.index("large")]]
+        small, large = (pick_pade_structure(w)[1] for w in work)
+        assert small == 0 and large >= 5
+        stack = stack.reshape(2, 3, n, n)
+    else:
+        stack = stack[0]
+    out = mat_exp(stack)
+    assert out.shape == stack.shape and out.dtype == expm(np.eye(2, dtype=dtype)).dtype
+    flat, want = out.reshape(-1, n, n), stack.reshape(-1, n, n)
+    for k, i in enumerate(order):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = expm(want[k])
+        assert np.array_equal(flat[k], ref, equal_nan=True), kinds[i]
+        assert np.isfinite(ref).all() != (kinds[i] == "overflow")
 
 
 RK4_STEP = 1e-3
