@@ -8,11 +8,14 @@ satisfy V = S S^T.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 __all__ = [
     "SYMPLECTIC_TOL",
@@ -81,6 +84,47 @@ def require_symplectic(s: np.ndarray, tol: float | np.ndarray = SYMPLECTIC_TOL) 
         raise ValueError(f"matrix is not symplectic: deviation {err[k]:.3e} > {limit:.1e}")
 
 
+def _load_expm_kernels():
+    """scipy's compiled Pade kernels, read from scipy/linalg without importing
+    scipy.linalg.
+
+    The extension module is loaded under its bare name and kept out of
+    sys.modules, so a later ``import scipy.linalg`` loads its own copy.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    roots = (scipy.submodule_search_locations or []) if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_matfuncs_expm", [os.path.join(root, "linalg") for root in roots]
+    )
+    if spec is None:
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            found = f"scipy {version('scipy')} is installed"
+        except PackageNotFoundError:
+            found = "scipy is not installed"
+        raise ImportError(
+            f"mat_exp needs scipy's compiled Pade kernels (scipy/linalg/_matfuncs_expm), "
+            f"which were not found: {found}; anwsim requires scipy>=1.17.1"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a single-phase extension module enters itself in sys.modules as it loads
+    if sys.modules.get(spec.name) is module:
+        del sys.modules[spec.name]
+    return module.pick_pade_structure, module.pade_UV_calc
+
+
+_pick_pade_structure, _pade_UV_calc = _load_expm_kernels()
+
+
+def _scipy_expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use: only its special cases need it."""
+    from scipy.linalg import expm
+
+    return expm(a)
+
+
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square real or complex matrix.
 
@@ -89,54 +133,85 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     too large for floats comes back with inf or nan entries, without a
     warning; require_symplectic refuses such a propagator.
 
-    The general slices go through scipy's own Pade kernels
-    (``scipy.linalg._matfuncs_expm``, Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 31:970, 2009) one by one, and their squarings run as one
-    stacked product per level. Those kernels are private, so the scipy
-    floor in pyproject.toml is the release this was checked against.
+    General slices go through scipy's own Pade kernels
+    (``scipy/linalg/_matfuncs_expm``, Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31:970, 2009), loaded from their file without importing
+    scipy.linalg; a stack's squarings run as one stacked product per level.
+    Diagonal slices get scipy's formula diag(exp(diag(a))) in numpy. Only
+    triangular slices, 1x1 and empty input import scipy.linalg, on first
+    use, and go to its expm. The kernels are private, so the scipy floor in
+    pyproject.toml is the release this was checked against.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square in its last two axes, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        # one matrix has no slice loop to save; scipy special-cases 1x1 and empty
-        if a.ndim == 2 or a.size == 0 or a.shape[-1] == 1:
-            return expm(a)
+        # scipy special-cases 1x1 and empty input
+        if a.size == 0 or a.shape[-1] == 1:
+            return _scipy_expm(a)
         return _expm_stack(a)
 
 
+@lru_cache(maxsize=None)
+def _strict_triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the strictly lower and strictly upper entries of an n x n matrix."""
+    lower = np.tri(n, k=-1, dtype=bool)
+    below, above = np.flatnonzero(lower), np.flatnonzero(lower.T)
+    # shared by every caller through the cache
+    below.flags.writeable = above.flags.writeable = False
+    return below, above
+
+
+def _pade(am: np.ndarray, a: np.ndarray) -> int:
+    """Leave scipy's Pade approximant of a / 2**s in am[0] and return s.
+
+    ``am`` is the (5, m, m) scratch scipy's kernels work in.
+    """
+    am[0] = a
+    m, s = _pick_pade_structure(am)
+    if m < 0:
+        raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
+    info = _pade_UV_calc(am, m)
+    if info != 0:
+        raise RuntimeError(f"expm's Pade solve failed (error code {info})")
+    return s
+
+
 def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm of a (..., m, m) stack with m >= 2, without its slice loop."""
+    """scipy.linalg.expm of a (..., m, m) array with m >= 2, bit for bit."""
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(np.float64)
     elif a.dtype == np.float16:
         a = a.astype(np.float32)
     n = a.shape[-1]
+    below, above = _strict_triangles(n)
+    am = np.empty((5, n, n), dtype=a.dtype)
+    # one general matrix: no stack to sort or gather
+    if a.ndim == 2 and np.count_nonzero(a.ravel()[below]) and np.count_nonzero(a.ravel()[above]):
+        s = _pade(am, a)
+        e = am[0].copy()
+        for _ in range(s):
+            e = e @ e
+        return e
     flat = a.reshape(-1, n, n)
-    out = np.empty(flat.shape, dtype=a.dtype)
     # scipy.linalg.bandwidth's test, for the whole stack: nan counts as nonzero
-    nonzero = flat != 0
-    strict = np.tri(n, k=-1, dtype=bool)
-    lower = (nonzero & strict).any(axis=(1, 2))
-    upper = (nonzero & strict.T).any(axis=(1, 2))
-    # diagonal and triangular slices keep scipy's own shortcuts
-    banded = ~(lower & upper)
-    if banded.any():
-        out[banded] = expm(flat[banded])
+    entries = flat.reshape(len(flat), n * n)
+    lower = entries[:, below].any(axis=1)
+    upper = entries[:, above].any(axis=1)
+    out = np.zeros(flat.shape, dtype=a.dtype)
+    diagonal = np.flatnonzero(~(lower | upper))
+    if diagonal.size:
+        d = np.arange(n)
+        out[diagonal[:, None], d, d] = np.exp(np.diagonal(flat[diagonal], axis1=1, axis2=2))
+    triangular = np.flatnonzero(lower ^ upper)
+    if triangular.size:
+        out[triangular] = _scipy_expm(flat[triangular])
     general = np.flatnonzero(lower & upper)
     if general.size:
-        # one scratch for scipy's kernels, as in expm's own slice loop
-        am = np.empty((5, n, n), dtype=a.dtype)
         e = np.empty((general.size, n, n), dtype=a.dtype)
         squarings = np.empty(general.size, dtype=int)
         for k, i in enumerate(general):
-            am[0] = flat[i]
-            m, squarings[k] = pick_pade_structure(am)
-            if m < 0:
-                raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
-            info = pade_UV_calc(am, m)
-            if info != 0:
-                raise RuntimeError(f"expm's Pade solve failed (error code {info})")
+            squarings[k] = _pade(am, flat[i])
             e[k] = am[0]
         # most squarings first, so each level squares a prefix of the stack
         order = np.argsort(-squarings, kind="stable")

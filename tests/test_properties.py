@@ -251,6 +251,24 @@ def test_mat_exp_bit_equal_to_expm(seed, n, dtype, kinds):
         assert np.isfinite(ref).all() != (kinds[i] == "overflow")
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.0, 3.0), st.booleans())
+def test_propagator_gain_bound(seed, n, gain, flat):
+    """||expm(Qz)||_2 <= exp(2 max_k a_k z): the symmetric part of Q is the
+    pump term alone, with eigenvalues +-2 a_k. A zero pump gives an
+    orthogonal S, which sits on the bound, hence the roundoff slack. The
+    gain max_k a_k z runs to 3, the default ceiling 0.1/mm at 30 mm; near
+    3.4 a flat pump's S already fails require_symplectic."""
+    rng = np.random.default_rng(seed)
+    cfg = ArrayConfig(n=n, coupling=float(rng.uniform(0.0, 0.5)), length=30.0)
+    z = float(rng.uniform(0.1, 60.0))
+    amplitudes = np.ones(n) if flat else rng.uniform(0.0, 1.0, n)
+    amplitudes *= gain / (z * amplitudes.max())
+    pump = PumpProfile(amplitudes, rng.uniform(-np.pi, np.pi, n))
+    s = propagator_exact(cfg, pump, z).propagator
+    assert np.linalg.norm(s, 2) <= np.exp(2.0 * amplitudes.max() * z) * (1.0 + 1e-12)
+
+
 RK4_STEP = 1e-3
 RK4_STEPS = st.one_of(
     st.integers(0, 5000), st.sampled_from([2**k + d for k in range(13) for d in (-1, 1)])

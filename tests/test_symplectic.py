@@ -1,9 +1,16 @@
 """Unit tests for the symplectic linear-algebra kernel."""
+import importlib.machinery
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anwsim
 from anwsim import (
     SYMPLECTIC_TOL,
     ArrayConfig,
@@ -134,6 +141,50 @@ class TestMatExp:
         assert out.shape == stack.shape
         for idx in np.ndindex(3, 4):
             assert np.array_equal(out[idx], mat_exp(stack[idx]))
+
+    def test_propagation_leaves_out_scipy_linalg(self):
+        """A fresh interpreter propagates a flat pump, alone and over a z
+        sweep from 0, without importing scipy.linalg; imported afterwards,
+        its expm still equals mat_exp bit for bit on a general and a
+        diagonal stack."""
+        src = str(Path(anwsim.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import anwsim",
+            "cfg = anwsim.ArrayConfig(n=5, coupling=0.24, length=30.0)",
+            "anwsim.propagator_exact(cfg, anwsim.PumpProfile.flat(5, 0.015), 30.0)",
+            "anwsim.propagators(cfg, np.full(5, 0.015), np.zeros(5), np.linspace(0, 30, 7))",
+            "print('scipy.linalg' in sys.modules, '_matfuncs_expm' in sys.modules)",
+            "from scipy.linalg import expm",
+            "rng = np.random.default_rng(0)",
+            "general = rng.standard_normal((3, 6, 6))",
+            "diagonal = np.einsum('ki,ij->kij', rng.standard_normal((3, 6)), np.eye(6))",
+            "print(all(np.array_equal(anwsim.mat_exp(a), expm(a)) for a in (general, diagonal)))",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+        )
+        assert out.stdout.split() == ["False", "False", "True"]
+
+    def test_missing_kernels_name_the_scipy_floor(self, monkeypatch):
+        """If scipy's layout changes and the Pade kernel file is gone, the
+        ImportError names the installed scipy and pyproject's floor."""
+        import scipy
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        floor = re.search(r'"scipy>=([^"]+)"', pyproject.read_text()).group(1)
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_kernels(name, path=None, target=None):
+            return None if name == "_matfuncs_expm" else find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_kernels)
+        with pytest.raises(ImportError, match="Pade kernels") as err:
+            anwsim.symplectic._load_expm_kernels()
+        assert f"scipy {scipy.__version__} is installed" in str(err.value)
+        assert f"scipy>={floor}" in str(err.value)
 
 
 class TestTakagi:
