@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config
@@ -44,12 +43,21 @@ from .model import (
     rk4_propagate,
 )
 from .optimize import optimize_vlf, synthesize_cluster, synthesize_emulation
-from .symplectic import _passive_out, require_symplectic, symplectic_error
+from .symplectic import (
+    _squeezing_gains,
+    _squeezing_product,
+    require_symplectic,
+    symplectic_error,
+)
 
 __all__ = ["main", "run", "ResultRecord"]
 
 
 def _versions() -> dict:
+    # imported here, not at module level: reading its version is all a
+    # record needs of the scipy package, and the import costs every process
+    import scipy
+
     return {
         "anwsim": __version__,
         "numpy": np.__version__,
@@ -95,7 +103,7 @@ def _round_trip(values) -> list:
 def _state_summary(state: GaussianState) -> dict:
     """Covariance plus per-mode and per-supermode squeezing levels."""
     mode_vars = min_variances(state.covariance)[0]
-    gains = _passive_out(state.propagator)[0]
+    gains = _squeezing_gains(_squeezing_product(state.propagator))
     nsm_vars = np.exp(-2.0 * gains)
     return {
         "covariance": _round_trip(state.covariance),
@@ -171,7 +179,7 @@ def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     require_symplectic(s)
     cov = covariances(s)
     sm_var = min_variances(t @ cov @ t.T)[0]
-    nsm_var = np.exp(-2.0 * _passive_out(s)[0])
+    nsm_var = np.exp(-2.0 * _squeezing_gains(_squeezing_product(s)))
     var = np.concatenate([min_variances(cov)[0], sm_var, nsm_var], axis=1)
     # columns alternate variance and dB, mode by mode
     table = np.stack([var, squeezing_db(var)], axis=-1).reshape(len(grid), -1)

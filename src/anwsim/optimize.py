@@ -43,7 +43,13 @@ from .model import (
     propagator_exact,
     propagators,
 )
-from .symplectic import _passive_out, euler_orthogonal, orthogonal_to_euler
+from .symplectic import (
+    _output_unitary,
+    _passive_out,
+    _squeezing_product,
+    euler_orthogonal,
+    orthogonal_to_euler,
+)
 
 __all__ = [
     "ETA_MAX",
@@ -866,7 +872,7 @@ def synthesize_emulation(
 
     def reduced(p: np.ndarray) -> np.ndarray | float:
         p = np.asarray(p, dtype=float)
-        _, w_out = _passive_out(propagators(cfg, *_pump(p), z))
+        w_out = _output_unitary(_squeezing_product(propagators(cfg, *_pump(p), z)))
         o = euler_orthogonal(p[..., 2 * n :], n)
         w = uc @ o @ np.swapaxes(w_out.conj(), -1, -2)
         dist = np.sqrt(2.0) * _nearest_phase_rotation(w)[2]

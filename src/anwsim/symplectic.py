@@ -243,7 +243,10 @@ def takagi(w: np.ndarray) -> TakagiFactorization:
     """Factor a complex symmetric (n, n) matrix as U W U^T = diag(values) >= 0.
 
     The one-matrix case of the stacked factorization (see _takagi); a
-    matrix whose asymmetry exceeds _TAKAGI_TOL is refused.
+    matrix whose asymmetry exceeds _TAKAGI_TOL is refused. The values come
+    from an eigendecomposition, so for W = E F^T of a symplectic S,
+    arcsinh(2 values)/2 matches bloch_messiah(S).gains, which are taken from
+    singular values, to roundoff but not bit for bit.
     """
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2:
@@ -337,8 +340,9 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahFactorization:
     """Decompose a symplectic matrix into passive, squeezer and passive factors.
 
     The x quadratures carry the antisqueezing (e^{+r}) and the y quadratures
-    the squeezing (e^{-r}); degenerate gains are resolved by the stable order
-    of the underlying congruence diagonalization.
+    the squeezing (e^{-r}). The gains are the singular-value gains of
+    _squeezing_gains, bit for bit; R1 comes from the Takagi vectors of the
+    same product E F^T, whose stable order resolves degenerate gains.
     """
     s = np.asarray(s, dtype=float)
     r, w_out = _passive_out(s)
@@ -355,12 +359,20 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahFactorization:
 
 
 def _passive_out(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Output side of bloch_messiah over a (..., 2N, 2N) stack.
+    """Output side of bloch_messiah over a (..., 2N, 2N) stack: the gains
+    (..., N) of _squeezing_gains and the complex form W_out (..., N, N) of
+    R1 = unitary_to_symplectic(W_out), from one checked product E F^T."""
+    m = _squeezing_product(s)
+    return _squeezing_gains(m), _output_unitary(m)
 
-    Returns the gains (..., N) and the complex form W_out (..., N, N) of
-    R1 = unitary_to_symplectic(W_out). Every slice must pass bloch_messiah's
+
+def _squeezing_product(s: np.ndarray) -> np.ndarray:
+    """E F^T of each slice of a (..., 2N, 2N) stack, after bloch_messiah's
     symplecticity check, max(_BLOCH_MESSIAH_TOL, SYMPLECTIC_TOL max(1,
-    max|S|^2)) of its own.
+    max|S|^2)) of its own per slice.
+
+    E F^T is complex symmetric; its Takagi values, which are its singular
+    values, are sinh(2 r_k)/2 for the supermode gains r_k.
     """
     s = np.asarray(s, dtype=float)
     peak = np.abs(s).max(axis=(-2, -1))
@@ -369,9 +381,22 @@ def _passive_out(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         limit = SYMPLECTIC_TOL * np.maximum(1.0, peak**2)
     require_symplectic(s, tol=np.maximum(_BLOCH_MESSIAH_TOL, limit))
     e, f = symplectic_to_bogoliubov(s)
-    # E F^T is complex symmetric with singular values sinh(2r)/2
-    values, u = _takagi(e @ np.swapaxes(f, -1, -2))
-    return np.arcsinh(2.0 * values) / 2.0, np.swapaxes(u.conj(), -1, -2)
+    return e @ np.swapaxes(f, -1, -2)
+
+
+def _squeezing_gains(m: np.ndarray) -> np.ndarray:
+    """Supermode gains r_1 >= r_2 >= ... >= 0, (..., N), of a stack of
+    products E F^T: r_k = arcsinh(2 sigma_k)/2 for the singular values
+    sigma_k, which are the Takagi values (Horn & Johnson, Matrix Analysis,
+    sec. 4.4) without the vectors. Each slice equals its one-matrix call
+    bit for bit, and S = I gives exactly 0."""
+    return np.arcsinh(2.0 * np.linalg.svd(m, compute_uv=False)) / 2.0
+
+
+def _output_unitary(m: np.ndarray) -> np.ndarray:
+    """W_out (..., N, N) of a stack of products E F^T: the conjugate
+    transpose of their Takagi unitaries, columns in descending-gain order."""
+    return np.swapaxes(_takagi(m)[1].conj(), -1, -2)
 
 
 def euler_orthogonal(angles: np.ndarray, n: int) -> np.ndarray:

@@ -2,12 +2,15 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import anwsim.optimize
-from anwsim import cli
+from anwsim import cli, parse_config
 from anwsim import (
     GaussianState,
     PumpProfile,
@@ -664,6 +667,38 @@ class TestVerify:
         assert "needs a" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["verify", "cluster"])
+    @pytest.mark.parametrize(
+        "pump",
+        [
+            LINEAR_PUMP,
+            {"amplitudes": [0.05, 0.08, 0.02, 0.07, 0.04], "phases_pi": [0.1, -0.3, 0.8, 0.4, -0.9]},
+        ],
+        ids=["linear", "uneven"],
+    )
+    def test_record_gains_equal_library(self, tmp_path, command, pump):
+        """The state.supermode_gains of a verify record and of a cluster
+        forward record are bloch_messiah's gains of the same propagator,
+        bit for bit."""
+        data = {
+            "array": ARRAY,
+            "pump": pump,
+            "measurement": {"lo_phases_pi": [0.0] * 5},
+            "graph": {"preset": "linear"},
+        }
+        if command == "cluster":
+            data["optimizer"] = {"fitness": "FC", "generations": 0}
+        out = tmp_path / "out"
+        assert run([command, "--config", write_config(tmp_path, data), "--out", str(out)]) in (0, 2)
+        scn = parse_config(data)
+        cfg = scn.array.array_config()
+        s = propagator_exact(cfg, scn.pump.pump_profile(), cfg.length).propagator
+        recorded = read_record(out, command)["results"]["state"]["supermode_gains"]
+        expected = bloch_messiah(s).gains
+        assert expected[0] > 0.5
+        assert np.array_equal(recorded, expected)
+
+
 class TestOracleCheck:
     """Backend cross-validation."""
 
@@ -1081,3 +1116,24 @@ class TestDriver:
             run(["--version"])
         assert exc.value.code == 0
         assert "anwsim" in capsys.readouterr().out
+
+    def test_import_leaves_out_scipy(self, tmp_path):
+        """A fresh interpreter imports the CLI without the scipy package,
+        and a record it then writes still reports scipy's version."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        cfg_path = write_config(tmp_path, {"array": ARRAY})
+        code = "\n".join([
+            "import json, sys",
+            "import anwsim.cli",
+            "print('scipy' in sys.modules)",
+            f"code = anwsim.cli.run(['supermodes', '--config', {cfg_path!r}, '--out', {str(tmp_path)!r}])",
+            "import scipy",
+            f"record = json.load(open({str(tmp_path / 'supermodes_record.json')!r}))",
+            "print(code, record['versions']['scipy'] == scipy.__version__)",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+        )
+        lines = out.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", "0 True")

@@ -27,9 +27,12 @@ from anwsim import (
     rk4_propagate_batch,
     squeezing_db,
     symplectic_error,
+    symplectic_to_bogoliubov,
+    takagi,
     unitary_to_symplectic,
 )
 from anwsim.config import PRESETS
+from anwsim.symplectic import _squeezing_gains, _squeezing_product
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
@@ -267,6 +270,47 @@ def test_propagator_gain_bound(seed, n, gain, flat):
     pump = PumpProfile(amplitudes, rng.uniform(-np.pi, np.pi, n))
     s = propagator_exact(cfg, pump, z).propagator
     assert np.linalg.norm(s, 2) <= np.exp(2.0 * amplitudes.max() * z) * (1.0 + 1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.floats(0.0, 3.0),
+    st.sampled_from(["random", "flat", "zero"]),
+    st.integers(1, 4),
+)
+def test_squeezing_gains_are_takagi_values(seed, n, gain, first, m):
+    """The singular-value gains of a stack of propagators agree with
+    arcsinh(2 takagi(E F^T).values)/2 within 64 eps max(1, sigma_max), are
+    nonnegative and non-increasing, equal the one-matrix call and
+    bloch_messiah's gains bit for bit on every slice, and are exactly 0
+    for S = I. The first pump is random, flat (degenerate supermodes) or
+    zero; the gain max_k a_k z runs to 3, as in test_propagator_gain_bound."""
+    rng = np.random.default_rng(seed)
+    cfg = ArrayConfig(n=n, coupling=float(rng.uniform(0.0, 0.5)), length=30.0)
+    z = float(rng.uniform(0.1, 60.0))
+    amplitudes = rng.uniform(0.0, 1.0, (m, n))
+    if first == "flat":
+        amplitudes[0] = 1.0
+    # the first pump reaches the drawn gain, the others a fraction of it
+    reach = np.append(gain, rng.uniform(0.0, gain, m - 1))
+    amplitudes *= (reach / (z * amplitudes.max(axis=1)))[:, None]
+    if first == "zero":
+        amplitudes[0] = 0.0
+    s = propagators(cfg, amplitudes, rng.uniform(-np.pi, np.pi, (m, n)), z)
+    gains = _squeezing_gains(_squeezing_product(s))
+    assert gains.shape == (m, n)
+    assert np.all(gains >= 0.0) and np.all(np.diff(gains, axis=1) <= 0.0)
+    for k in range(m):
+        assert np.array_equal(gains[k], _squeezing_gains(_squeezing_product(s[k])))
+        assert np.array_equal(gains[k], bloch_messiah(s[k]).gains)
+        e, f = symplectic_to_bogoliubov(s[k])
+        values = takagi(e @ f.T).values
+        bound = 64 * np.finfo(float).eps * max(1.0, values.max())
+        assert np.abs(gains[k] - np.arcsinh(2.0 * values) / 2.0).max() <= bound
+    identity = np.broadcast_to(np.eye(2 * n), (m, 2 * n, 2 * n))
+    assert np.array_equal(_squeezing_gains(_squeezing_product(identity)), np.zeros((m, n)))
 
 
 RK4_STEP = 1e-3
