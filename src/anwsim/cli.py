@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,10 +32,9 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .entanglement import CertificationReport, certify, vlf_values_batch
 from .measurement import min_variances, squeezing_db
 from .model import (
-    ArrayConfig,
     GaussianState,
-    PumpProfile,
     _check_rk4,
+    _no_ordering_propagators,
     covariances,
     flat_pump_analytic,
     linear_supermodes,
@@ -262,9 +263,8 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 
     col0 = "z_mm" if variable == "z" else "eta_per_mm"
     header = [col0] + [f"rho_{i}" for i in range(1, n)] + ["rho_sum"]
-    rows = [
-        [float(v)] + r.tolist() + [float(np.sum(r))] for v, r in zip(grid, rows_rho)
-    ]
+    rho = np.asarray(rows_rho, dtype=float)
+    rows = np.column_stack([grid, rho, rho.sum(axis=-1)]).tolist()
     record = ResultRecord(
         command="vlf",
         config=scn.to_dict(),
@@ -408,17 +408,6 @@ def cmd_verify(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 # oracle-check
 
 
-def _covariance_diff_supermode(
-    t: np.ndarray, cfg: ArrayConfig, pump: PumpProfile, z: float
-) -> float:
-    """Max abs covariance difference, no-ordering vs exact, in the supermode
-    basis that t maps to."""
-    exact = propagator_exact(cfg, pump, z)
-    approx = propagator_no_ordering(cfg, pump, z)
-    v_exact = t @ exact.covariance @ t.T
-    return float(np.abs(approx.covariance - v_exact).max())
-
-
 def cmd_oracle_check(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     scn.require("pump")
     cfg = scn.array.array_config()
@@ -454,15 +443,16 @@ def cmd_oracle_check(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         )
     elif np.any(amps > 0):
         # third-order onset of space-ordering corrections: fit the
-        # covariance error against the pump scale on a log-log grid
-        shape = amps / amps.max()
+        # supermode-basis covariance error against the pump scale on a
+        # log-log grid, the eight scales as one stack of propagators
         scales = np.logspace(-3.0, -2.0, 8)
-        errs = [
-            _covariance_diff_supermode(
-                t, cfg, PumpProfile(s * shape, np.asarray(pump.phases)), z
-            )
-            for s in scales
-        ]
+        stack = scales[:, None] * (amps / amps.max())
+        phases = np.broadcast_to(pump.phases, stack.shape)
+        s = propagators(cfg, stack, phases, z)
+        require_symplectic(s)
+        v_exact = t @ covariances(s) @ t.T
+        v_approx = covariances(_no_ordering_propagators(cfg, stack, phases, z))
+        errs = np.abs(v_approx - v_exact).max(axis=(-2, -1))
         slope = float(np.polyfit(np.log(scales), np.log(errs), 1)[0])
         results["no_ordering_error_slope"] = slope
         results["no_ordering_errors"] = _round_trip(errs)
@@ -520,13 +510,16 @@ def _json_table(lines: list[str], pad: str) -> str:
     """A table's record text, one row per line, from its CSV lines.
 
     Finite reprs hold no letters n, a, i or f, so replacing the Python
-    spellings of non-finite cells gives JSON's NaN/Infinity tokens.
+    spellings of non-finite cells gives JSON's NaN/Infinity tokens, and a
+    table with no letter n has none to replace.
     """
     if not lines:
         return "[]"
     inner = pad + "  "
     body = "\n".join(lines).replace(",", ", ").replace("\n", f"],\n{inner}[")
     text = f"[\n{inner}[{body}]\n{pad}]"
+    if "n" not in body:
+        return text
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
@@ -556,18 +549,38 @@ def _json_text(value, pad: str, table: list | None, lines: list[str] | None) -> 
     return json.dumps(value)
 
 
+def _rewrite(path: Path, text: str, newline: str | None = None) -> None:
+    """Path.write_text(text, newline=newline), writing over the file in place.
+
+    The file is opened without truncation and cut at the end of the new
+    text, so rewriting a file of about the same size reuses its blocks
+    instead of freeing and reallocating them. A write that fails part-way
+    leaves a mix of new and old bytes; the OSError still reaches the caller.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # write_text's encoding: the locale's, or UTF-8 in UTF-8 mode
+    with open(fd, "w", encoding=io.text_encoding(None), newline=newline) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_outputs(out: RunOutput, outdir: Path, fmt: str) -> list[Path]:
+    """Write the record, and with fmt "csv" the table, into outdir.
+
+    Each file is rewritten in place (see _rewrite); an OSError, such as a
+    directory at a file's path, propagates and run() exits 1.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
     stem = out.record.command.replace("-", "_")
     lines = None if out.rows is None else _csv_lines(out.rows)
     record_path = outdir / f"{stem}_record.json"
-    record_path.write_text(_json_text(out.record.to_dict(), "", out.rows, lines) + "\n")
+    _rewrite(record_path, _json_text(out.record.to_dict(), "", out.rows, lines) + "\n")
     written = [record_path]
     if fmt == "csv" and out.header is not None and lines is not None:
         csv_path = outdir / f"{stem}.csv"
         # float reprs and the identifier-like header names hold no comma,
         # quote or line break, so no cell needs CSV quoting
-        csv_path.write_text("\r\n".join([",".join(out.header), *lines]) + "\r\n", newline="")
+        _rewrite(csv_path, "\r\n".join([",".join(out.header), *lines]) + "\r\n", newline="")
         written.append(csv_path)
     return written
 

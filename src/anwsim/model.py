@@ -331,8 +331,13 @@ def integrated_L(
     _check_pump(cfg, pump)
     if modes.n != cfg.n:
         raise ValueError(f"supermode basis has {modes.n} modes, expected {cfg.n}")
+    return _integrated_ls(modes, pump.complex_amplitudes, z)
+
+
+def _integrated_ls(modes: LinearSupermodes, eta: np.ndarray, z: float) -> np.ndarray:
+    """integrated_L of a (..., N) stack of complex pumps at one z, as (..., N, N)."""
     m, lam = modes.matrix, modes.eigenvalues
-    coef = 2j * (m * pump.complex_amplitudes) @ m.T
+    coef = 2j * (m * eta[..., None, :]) @ m.T
     s = lam[:, None] + lam[None, :]
     small = np.abs(s) < DEGENERATE_MISMATCH
     s_safe = np.where(small, 1.0, s)
@@ -340,17 +345,29 @@ def integrated_L(
     return coef * kernel
 
 
-def _no_ordering_blocks(
-    cfg: ArrayConfig, pump: PumpProfile, modes: LinearSupermodes, z: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating-frame Bogoliubov blocks (E_B, F_B) of the no-ordering solution."""
+def _no_ordering_propagators(
+    cfg: ArrayConfig, amplitudes: np.ndarray, phases: np.ndarray, z: float
+) -> np.ndarray:
+    """No-ordering propagators of a (..., N) stack of validated pumps at one z.
+
+    Stacked as (..., 2N, 2N) in the linear-supermode basis, each slice
+    bit-equal to propagator_no_ordering of its own pump. Like propagators,
+    the stack is left unchecked.
+    """
+    _check_z(z)
     n = cfg.n
-    lint = integrated_L(cfg, pump, modes, z)
-    gen = np.zeros((2 * n, 2 * n), dtype=complex)
-    gen[:n, n:] = lint
-    gen[n:, :n] = lint.conj()
+    if amplitudes.shape[-1] != n:
+        raise ValueError(f"pump has {amplitudes.shape[-1]} entries but the array has {n} guides")
+    modes = linear_supermodes(cfg)
+    # rotating-frame generator [[0, L], [L*, 0]] of the Bogoliubov blocks
+    lint = _integrated_ls(modes, amplitudes * np.exp(1j * phases), z)
+    gen = np.zeros(lint.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    gen[..., :n, n:] = lint
+    gen[..., n:, :n] = lint.conj()
     p = mat_exp(gen)
-    return p[:n, :n], p[:n, n:]
+    # restore the bare propagation phases exp(i lambda_k z)
+    ph = np.exp(1j * modes.eigenvalues * z)[:, None]
+    return bogoliubov_to_symplectic(ph * p[..., :n, :n], ph * p[..., :n, n:])
 
 
 def propagator_no_ordering(cfg: ArrayConfig, pump: PumpProfile, z: float) -> GaussianState:
@@ -361,13 +378,10 @@ def propagator_no_ordering(cfg: ArrayConfig, pump: PumpProfile, z: float) -> Gau
     pump) and otherwise differs from the exact solution at third order in
     |eta| z. Returned in the linear-supermode basis with the bare
     propagation phases exp(i lambda_k z) restored, so it composes with
-    ordinary basis changes.
+    ordinary basis changes. This is the one-pump case of the stacked
+    _no_ordering_propagators, as propagator_exact is of propagators.
     """
-    _check_z(z)
-    modes = linear_supermodes(cfg)
-    eb, fb = _no_ordering_blocks(cfg, pump, modes, z)
-    ph = np.exp(1j * modes.eigenvalues * z)
-    s = bogoliubov_to_symplectic(ph[:, None] * eb, ph[:, None] * fb)
+    s = _no_ordering_propagators(cfg, pump.amplitudes, pump.phases, z)
     return GaussianState.from_propagator(z, s, "linear_supermode")
 
 

@@ -50,13 +50,32 @@ def omega(n: int) -> np.ndarray:
     return np.block([[z, eye], [-eye, z]])
 
 
-def _defects(s: np.ndarray) -> np.ndarray:
-    """Max-abs deviation of S Omega S^T from Omega, per slice of a stack."""
-    n = s.shape[-1] // 2
+@lru_cache(maxsize=None)
+def _shared_omega(n: int) -> np.ndarray:
+    """omega(n), built once per size (np.block costs more than a small
+    check) and shared read-only by every caller through the cache."""
     om = omega(n)
-    # an overflowed matrix gives inf or nan here, which require_symplectic refuses
+    om.flags.writeable = False
+    return om
+
+
+def _defects(s: np.ndarray) -> np.ndarray:
+    """Max-abs deviation of S Omega S^T from Omega, per slice of a stack.
+
+    S Omega is S's column blocks swapped, the first one negated: a product
+    with Omega would only add exact zeros, so for a finite S the defects
+    are those of (S @ Omega) @ S^T bit for bit, from one stacked product.
+    """
+    n = s.shape[-1] // 2
+    s_om = np.empty(s.shape, dtype=np.result_type(s.dtype, np.float64))
+    np.negative(s[..., n:], out=s_om[..., :n])
+    s_om[..., n:] = s[..., :n]
+    # an overflowed S stays inf or nan here, which require_symplectic refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(s @ om @ np.swapaxes(s, -1, -2) - om).max(axis=(-2, -1))
+        d = s_om @ np.swapaxes(s, -1, -2)
+        del s_om  # freed before abs allocates: at most two stacks at a time
+        d -= _shared_omega(n)
+        return np.abs(d).max(axis=(-2, -1))
 
 
 def symplectic_error(s: np.ndarray) -> float:

@@ -19,6 +19,7 @@ from anwsim import (
     min_variance,
     optimize_vlf,
     propagator_exact,
+    propagator_no_ordering,
     squeezing_db,
     symplectic_error,
     vlf_values,
@@ -773,6 +774,29 @@ class TestOracleCheck:
         assert not results["flat_pump"]
         assert 2.5 < results["no_ordering_error_slope"] < 3.5
 
+    def test_stacked_scales_equal_per_scale_loop(self, tmp_path, cfg5):
+        """The eight pump scales fitted as one stack give the errors of a
+        loop over propagator_exact and propagator_no_ordering, bit for bit."""
+        pump = {
+            "amplitudes": [0.05, 0.08, 0.02, 0.07, 0.04],
+            "phases_pi": [0.1, -0.3, 0.8, 0.4, -0.9],
+        }
+        cfg_path = write_config(tmp_path, {"array": ARRAY, "pump": pump})
+        out = tmp_path / "out"
+        assert run(["oracle-check", "--config", cfg_path, "--out", str(out)]) == 0
+        results = read_record(out, "oracle-check")["results"]
+        amps = np.array(pump["amplitudes"])
+        phases = np.pi * np.array(pump["phases_pi"])
+        t = linear_supermodes(cfg5).to_supermode_basis()
+        errs = []
+        for scale in results["no_ordering_scales"]:
+            p = PumpProfile(scale * (amps / amps.max()), phases)
+            exact = propagator_exact(cfg5, p, 30.0).covariance
+            approx = propagator_no_ordering(cfg5, p, 30.0).covariance
+            errs.append(float(np.abs(approx - t @ exact @ t.T).max()))
+        assert results["no_ordering_scales"] == np.logspace(-3.0, -2.0, 8).tolist()
+        assert results["no_ordering_errors"] == errs
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rk4_distance_checked_before_expm(self, tmp_path, capsys):
         """A 1e20 mm array exits 1 on RK4's step-count check, before expm can
@@ -906,6 +930,34 @@ class TestWriter:
         assert (new / "propagate.csv").read_bytes() == (old / "propagate.csv").read_bytes()
         assert read_record(new, "propagate") == read_record(old, "propagate")
         assert len(read_record(new, "propagate")["results"]["rows"]) == 601
+
+    @pytest.mark.parametrize("command", list(WRITER_SCENARIOS))
+    def test_rewrite_over_longer_files(self, tmp_path, command):
+        """Writing over longer files at the record and CSV paths gives the
+        bytes of a write into an empty directory, with no stale tail."""
+        cfg_path = write_config(tmp_path, WRITER_SCENARIOS[command])
+        stem = command.replace("-", "_")
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        argv = [command, "--config", cfg_path, "--format", "csv", "--out"]
+        assert run([*argv, str(fresh)]) == 0
+        files = sorted(p.name for p in fresh.iterdir())
+        assert f"{stem}_record.json" in files
+        over.mkdir()
+        for name in (f"{stem}_record.json", f"{stem}.csv"):
+            size = (fresh / name).stat().st_size if name in files else 0
+            (over / name).write_bytes(b"junk\n" * (size // 5 + 200))
+        assert run([*argv, str(over)]) == 0
+        for name in files:
+            assert (over / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_directory_at_record_path_exits_one(self, tmp_path, capsys):
+        """A directory where the record goes cannot be written over: exit 1."""
+        cfg_path = write_config(tmp_path, {"array": ARRAY})
+        out = tmp_path / "out"
+        (out / "supermodes_record.json").mkdir(parents=True)
+        assert run(["supermodes", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "anwsim: error:" in capsys.readouterr().err
+        assert not (out / "supermodes.csv").exists()
 
 
 class TestStrictConfig:

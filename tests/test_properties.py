@@ -3,6 +3,7 @@ measurement, symplecticity and matrix-exponential paths that must agree
 with their one-item counterparts bit for bit, and the powered RK4 against
 a step loop."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from anwsim import (
     mat_exp,
     min_variance,
     min_variances,
+    omega,
     parse_config,
     propagators,
     propagator_exact,
+    propagator_no_ordering,
     quad_generator,
+    require_symplectic,
     rk4_propagate_batch,
     squeezing_db,
     symplectic_error,
@@ -32,7 +36,8 @@ from anwsim import (
     unitary_to_symplectic,
 )
 from anwsim.config import PRESETS
-from anwsim.symplectic import _squeezing_gains, _squeezing_product
+from anwsim.model import _no_ordering_propagators
+from anwsim.symplectic import SYMPLECTIC_TOL, _defects, _squeezing_gains, _squeezing_product
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
@@ -197,17 +202,31 @@ def _general(rng, n, norm, band):
     return g * max(1, int(np.ceil(norm / np.abs(g).sum(axis=0).max())))
 
 
-def _slice(rng, n, kind):
+BAND = {"diagonal": lambda g: np.diag(np.diag(g)), "upper": np.triu, "lower": np.tril}
+
+
+def _slice(rng, n, kind, cplx):
+    """One integer slice of ``kind``, or with ``cplx`` a complex one."""
     if kind == "zero":
         return np.zeros((n, n), dtype=int)
+    if kind in BAND:
+        # 1-norm from 0.1 to under 704, both parts together (_general
+        # overshoots its norm by at most 3n): ||expm(a)|| <= exp(||a||_1)
+        # stays finite, and so every real diagonal part is under 704; the
+        # imaginary part keeps the real part's band
+        top = 320.0 if cplx else 680.0
+        a, b = (
+            BAND[kind](_general(rng, n, 10.0 ** rng.uniform(-1, np.log10(top)), band=False))
+            for _ in range(2)
+        )
+        return a + 1j * b if cplx else a
     if kind == "small":  # 1-norm at most 3: no squaring
-        return _general(rng, n, 0, band=True)
-    if kind == "large":  # 1-norm from 200 to under 709: 5 or more squarings, finite
-        return _general(rng, n, rng.uniform(200, 600), band=False)
-    if kind == "overflow":  # eigenvalue real parts 1000: exp passes the float range
-        return 1000 * np.eye(n, dtype=int) + np.eye(n, k=1, dtype=int) - np.eye(n, k=-1, dtype=int)
-    g = _general(rng, n, 10.0 ** rng.uniform(-1, 3), band=False)
-    return {"diagonal": np.diag(np.diag(g)), "upper": np.triu(g), "lower": np.tril(g)}[kind]
+        a = _general(rng, n, 0, band=True)
+    elif kind == "large":  # 1-norm from 200 to under 709: 5 or more squarings, finite
+        a = _general(rng, n, rng.uniform(200, 600), band=False)
+    else:  # overflow: eigenvalue real parts 1000, exp passes the float range
+        a = 1000 * np.eye(n, dtype=int) + np.eye(n, k=1, dtype=int) - np.eye(n, k=-1, dtype=int)
+    return a + 1j * rng.permutation(a) if cplx else a
 
 
 BANDED = ("zero", "diagonal", "upper", "lower")
@@ -231,9 +250,7 @@ def test_mat_exp_bit_equal_to_expm(seed, n, dtype, kinds):
     0 to 5 or more squarings, and an overflowed slice among finite ones.
     One kind gives a single matrix, six a (2, 3) stack in drawn order."""
     rng = np.random.default_rng(seed)
-    slices = [_slice(rng, n, k) for k in kinds]
-    if dtype == "complex128":
-        slices = [a + 1j * rng.permutation(a) for a in slices]
+    slices = [_slice(rng, n, k, dtype == "complex128") for k in kinds]
     order = rng.permutation(len(kinds))
     stack = np.array([slices[i] for i in order]).astype(dtype)
     if len(kinds) > 1:
@@ -311,6 +328,84 @@ def test_squeezing_gains_are_takagi_values(seed, n, gain, first, m):
         assert np.abs(gains[k] - np.arcsinh(2.0 * values) / 2.0).max() <= bound
     identity = np.broadcast_to(np.eye(2 * n), (m, 2 * n, 2 * n))
     assert np.array_equal(_squeezing_gains(_squeezing_product(identity)), np.zeros((m, n)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.sampled_from([(1,), (3,), (2, 2)]),
+    st.sampled_from(["random", "flat", "zero"]),
+)
+def test_no_ordering_stack_equals_one_pump(seed, n, lead, first):
+    """Each slice of a stacked no-ordering propagator equals
+    propagator_no_ordering of its own pump, bit for bit, with a random,
+    flat or zero first pump among random ones (gain max a_k z up to 3)."""
+    rng = np.random.default_rng(seed)
+    cfg = ArrayConfig(n=n, coupling=float(rng.uniform(0.0, 0.5)), length=30.0)
+    z = float(rng.uniform(0.0, 60.0))
+    amplitudes = rng.uniform(0.0, 3.0 / max(z, 1.0), lead + (n,))
+    phases = rng.uniform(-np.pi, np.pi, lead + (n,))
+    first_pump = (0,) * len(lead)
+    if first == "flat":
+        amplitudes[first_pump], phases[first_pump] = amplitudes[first_pump][0], phases[first_pump][0]
+    elif first == "zero":
+        amplitudes[first_pump] = 0.0
+    s = _no_ordering_propagators(cfg, amplitudes, phases, z)
+    assert s.shape == lead + (2 * n, 2 * n)
+    for k in np.ndindex(lead):
+        state = propagator_no_ordering(cfg, PumpProfile(amplitudes[k], phases[k]), z)
+        assert np.array_equal(s[k], state.propagator)
+
+
+def _matmul_defects(s):
+    """The defects as S Omega S^T - Omega with Omega as a matrix product."""
+    om = omega(s.shape[-1] // 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(s @ om @ np.swapaxes(s, -1, -2) - om).max(axis=(-2, -1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.sampled_from(["inf", "nan", "huge"]),
+)
+def test_defects_equal_matmul_form(seed, n, count, overflow):
+    """_defects equals the S @ Omega @ S^T - Omega form bit for bit, on a
+    stack of symplectic, perturbed and arbitrary slices and one overflowed
+    slice (an inf or nan entry, or entries whose product overflows): that
+    slice is non-finite in both forms and refused with the same message."""
+    rng = np.random.default_rng(seed)
+    d = 2 * n
+    h = rng.normal(size=(count, d, d))
+    sym = mat_exp(omega(n) @ (h + np.swapaxes(h, -1, -2)) * rng.uniform(0.0, 1.0))
+    perturbed = sym * (1.0 + rng.uniform(0.0, 1e-6, (count, 1, 1)))
+    arbitrary = rng.normal(size=(count, d, d)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+    bad = rng.normal(size=(d, d))
+    if overflow == "huge":
+        bad *= 1e200
+    else:
+        bad[tuple(rng.integers(d, size=2))] = rng.choice([-np.inf, np.inf, np.nan])
+    stack = np.concatenate([sym, perturbed, arbitrary, bad[None]])
+    order = rng.permutation(len(stack))
+    stack = stack[order]
+    new, old = _defects(stack), _matmul_defects(stack)
+    assert np.array_equal(new, old, equal_nan=True)
+    assert np.flatnonzero(~np.isfinite(new)).tolist() == [int(np.argmax(order))]
+    for k, s_k in enumerate(stack):
+        assert np.array_equal(_defects(s_k), new[k], equal_nan=True)
+    with pytest.raises(ValueError, match="^matrix is not symplectic: it is not finite$"):
+        require_symplectic(stack)
+    finite = stack[np.isfinite(new)]
+    err = _matmul_defects(finite)
+    if err.max() > SYMPLECTIC_TOL:
+        want = f"matrix is not symplectic: deviation {err.max():.3e} > {SYMPLECTIC_TOL:.1e}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            require_symplectic(finite)
+    else:
+        require_symplectic(finite)
 
 
 RK4_STEP = 1e-3
