@@ -124,6 +124,7 @@ def _report_dict(report: CertificationReport) -> dict:
         "gains": _round_trip(report.gains),
         "nullifier_variances": _round_trip(report.nullifier_variances),
         "vlf": _round_trip(report.vlf),
+        "bipartitions": [list(b) for b in report.bipartitions],
         "bound_pairs": [list(p) for p in report.bound_pairs],
         "bound_sums": _round_trip(report.bound_sums),
         "bounds": _round_trip(report.bounds),

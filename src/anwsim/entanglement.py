@@ -4,16 +4,17 @@ Two certification routes are implemented. The van Loock-Furusawa route
 bounds pairwise combinations rho_i of rotated quadratures; full N-partite
 inseparability is guaranteed when all N-1 values drop below 4. The
 graph-state route checks the variances of normalized nullifiers
-delta_i = (y_i - sum_j J_ij x_j)/sqrt(1 + n(i)) together with sharp
-pairwise bounds; a cluster is certified when every variance is below shot
-noise and every bound pair is violated.
+delta_i = (y_i - sum_j J_ij x_j)/sqrt(1 + n(i)) and, on every bipartition
+of the nodes, the separability bound of each pair of nullifier rows; a
+cluster is certified when every variance is below shot noise and every
+bipartition has a pair whose variance sum violates its bound.
 
 Graphs are specified by a 0/1 adjacency matrix over nodes plus a labeling
 that assigns each node to a physical mode. The five built-in 5-node
-presets are the only special cases, and each is stated once here: their
-bound tables, the pyramid's substituted nullifiers, and the GHZ preset,
-which is the star seen through a pi/2 LO shift on every mode but the
-centre's (its rows, bounds and search all derive from the star's). A
+presets are the only special cases, and each is stated once here: the
+pyramid's substituted nullifiers, and the GHZ preset, which is the star
+seen through a pi/2 LO shift on every mode but the centre's (its rows and
+search derive from the star's). Every bound derives from the rows. A
 graph keyed by a preset's name must have that preset's adjacency.
 """
 
@@ -32,7 +33,6 @@ __all__ = [
     "GraphSpec",
     "graph_preset",
     "search_equivalent",
-    "inseparability_bounds",
     "CertificationReport",
     "ClusterTransform",
     "vlf_rows",
@@ -58,28 +58,13 @@ _PRESET_EDGES = {
 
 # presets that are another preset seen through a pi/2 LO shift on every
 # node but the centre (the node joined to all others): they share its
-# adjacency, bounds and search
+# adjacency and search
 _SHIFTED = {"ghz": "star"}
 
 # opposite base corners of the pyramid share their neighbor set, so their
 # nullifier differences reduce to bare y differences: (node, reference)
 # pairs, 0-based, whose nullifiers are substituted
 _SUBSTITUTED = {"pyramid": ((3, 0), (4, 1))}
-
-# sharp inseparability bounds on V(d_i) + V(d_j) for the preset nullifiers,
-# keyed by 1-based node pairs
-_PRESET_BOUNDS = {
-    "linear": (
-        ((1, 2), np.sqrt(8.0 / 3.0)),
-        ((2, 3), 4.0 / 3.0),
-        ((3, 4), 4.0 / 3.0),
-        ((4, 5), np.sqrt(8.0 / 3.0)),
-    ),
-    "pentagon": tuple(((i, i + 1), 4.0 / 3.0) for i in range(1, 5)),
-    "star": tuple(((i, 3), np.sqrt(8.0 / 5.0)) for i in (1, 2, 4, 5)),
-    "pyramid": (((4, 3), np.sqrt(8.0 / 5.0)), ((5, 3), np.sqrt(8.0 / 5.0))),
-}
-
 
 def _preset_adjacency(name: str) -> np.ndarray:
     """The 5-node adjacency of a preset; a shifted one has its base's."""
@@ -96,7 +81,7 @@ class GraphSpec:
     ``adjacency`` is the symmetric 0/1 matrix J with zero diagonal;
     ``labeling`` maps node k (0-based position) to the 1-based physical
     mode labeling[k], identity by default. A preset's name selects its
-    nullifiers and bounds, so it is refused on any other adjacency.
+    nullifiers, so it is refused on any other adjacency.
     """
 
     adjacency: np.ndarray
@@ -159,18 +144,6 @@ def search_equivalent(graph: GraphSpec) -> tuple[GraphSpec, np.ndarray | None]:
     shift = np.zeros(graph.n)
     shift[graph.labeling[_shifted_nodes(graph)] - 1] = np.pi / 2.0
     return base, shift
-
-
-def inseparability_bounds(graph: GraphSpec) -> tuple[tuple[tuple[int, int], float], ...]:
-    """The preset bound table of ``graph`` as ((node_i, node_j), bound)
-    pairs; refuses a graph with no known bounds."""
-    name = _SHIFTED.get(graph.name, graph.name)
-    if name not in _PRESET_BOUNDS:
-        raise ValueError(
-            f"no inseparability bounds known for graph {graph.name!r}; "
-            "pass them explicitly"
-        )
-    return _PRESET_BOUNDS[name]
 
 
 def _node_rows(graph: GraphSpec) -> np.ndarray:
@@ -270,15 +243,39 @@ def vlf_values(
     return vlf_values_batch(state.covariance, theta, g)
 
 
+def _separable_bounds(graph: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based node pairs i < j (P, 2, row-major), cuts (K, n) and bounds (P, K).
+
+    Row b of the 0/1 cut matrix marks the nodes on the side of cut b that
+    does not hold node 1, the set bits of 2(b + 1): the K = 2^(n-1) - 1
+    cuts count in binary over nodes 2..n. A product state across a cut
+    (A, B) has V(delta_i) + V(delta_j) >= 2(|sum_A c_k| + |sum_B c_k|),
+    with c_k = x_i[k] p_j[k] - p_i[k] x_j[k] from the rows' coefficients
+    and vacuum variance 1 (van Loock and Furusawa, PRA 67, 052315, 2003).
+    """
+    n = graph.n
+    rows, k = _node_rows(graph), np.arange(n)
+    x, p = rows[:, :n], rows[:, n:]
+    i, j = np.nonzero(k[:, None] < k)
+    c = x[i] * p[j] - p[i] * x[j]
+    far = (((2 * np.arange(1, 2 ** (n - 1)))[:, None] >> k) & 1).astype(float)
+    bounds = 2.0 * (np.abs(c @ far.T) + np.abs(c @ (1 - far).T))
+    return np.stack([i, j], axis=1), far, bounds
+
+
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of a graph-state certification measurement."""
+    """Outcome of a graph-state certification measurement. The last four
+    fields hold one entry per bipartition of the nodes, named by the sorted
+    1-based modes on the side without node 1: the 1-based node pair i < j
+    with the largest margin there, its variance sum and its bound."""
 
     graph: str
     lo_phases: np.ndarray
     gains: np.ndarray
     nullifier_variances: np.ndarray
     vlf: np.ndarray
+    bipartitions: tuple[tuple[int, ...], ...]
     bound_pairs: tuple[tuple[int, int], ...]
     bound_sums: np.ndarray
     bounds: np.ndarray
@@ -301,32 +298,35 @@ def certify(
     graph: GraphSpec,
     lo_phases: np.ndarray,
     gains: np.ndarray | None = None,
-    bounds: tuple[tuple[tuple[int, int], float], ...] | None = None,
 ) -> CertificationReport:
-    """Evaluate nullifier variances and inseparability bounds on a state.
+    """Evaluate nullifier variances and separability bounds on a state.
 
-    ``bounds`` overrides the preset bound table as ((node_i, node_j),
-    bound) pairs and is required for custom graphs. The report passes when
-    every nullifier variance is below 1 and every pair sum is below its
+    Each of the 2^(n-1) - 1 bipartitions of the nodes keeps the pair of
+    nullifier rows i < j with the largest margin (bound minus variance
+    sum), the first in row-major order on ties. The report passes when
+    every nullifier variance is below 1 and every kept sum is below its
     bound. The VLF values are evaluated at the same LO phases with the
     given gains (zero if omitted).
     """
     theta = _lo_phases(graph.n, lo_phases)
     g = np.zeros(graph.n) if gains is None else np.asarray(gains, dtype=float)
-    if bounds is None:
-        bounds = inseparability_bounds(graph)
     variances = quadrature_variances(state.covariance, nullifier_rows(graph), theta)
-    pairs = tuple(pair for pair, _ in bounds)
-    sums = np.array([variances[a - 1] + variances[b - 1] for a, b in pairs])
+    pairs, far, bounds = _separable_bounds(graph)
+    sums = variances[pairs].sum(axis=1)
+    # a single node has no pair and no cut
+    best = np.argmax(bounds - sums[:, None], axis=0) if len(pairs) else np.zeros(0, int)
+    # each cut's far side as 0/1 over the modes, in mode order
+    on_modes = far[:, np.argsort(graph.labeling)].tolist()
     return CertificationReport(
         graph=graph.name,
         lo_phases=theta,
         gains=g,
         nullifier_variances=variances,
         vlf=vlf_values(state, theta, g),
-        bound_pairs=pairs,
-        bound_sums=sums,
-        bounds=np.array([b for _, b in bounds]),
+        bipartitions=tuple(tuple(m for m, on in enumerate(row, 1) if on) for row in on_modes),
+        bound_pairs=tuple(map(tuple, (pairs[best] + 1).tolist())),
+        bound_sums=sums[best],
+        bounds=bounds[best, np.arange(len(far))],
     )
 
 
@@ -380,9 +380,7 @@ def emulation_error(
     value certifies that S_LO is implementable by that detection layer.
     """
     n = graph.n
-    theta = np.asarray(lo_phases, dtype=float)
-    if theta.shape != (n,):
-        raise ValueError(f"need {n} LO phases, got shape {theta.shape}")
+    theta = _lo_phases(n, lo_phases)
 
     def obar(angles: np.ndarray) -> np.ndarray:
         o = euler_orthogonal(np.asarray(angles, dtype=float), n)

@@ -24,11 +24,11 @@ import numpy as np
 from .entanglement import (
     CertificationReport,
     GraphSpec,
+    _lo_phases,
     certify,
     cluster_nullifier_variances,
     cluster_transform,
     emulation_error,
-    inseparability_bounds,
     nullifier_rows,
     search_equivalent,
     vlf_values,
@@ -335,9 +335,7 @@ def fitness_FC(
 ) -> float:
     """Sum of the graph nullifier variances after exact propagation."""
     pump = PumpProfile(amplitudes, phases)
-    theta = np.asarray(lo_phases, dtype=float)
-    if theta.shape != (cfg.n,):
-        raise ValueError(f"need {cfg.n} LO phases, got shape {theta.shape}")
+    theta = _lo_phases(cfg.n, lo_phases)
     return float(
         _nullifier_sums(cfg, z, nullifier_rows(graph), pump.amplitudes, pump.phases, theta)
     )
@@ -616,14 +614,14 @@ def synthesize_cluster(
     points (``ParameterSpace.sample``: amplitudes in [0, eta_max), angles
     in [-pi, pi)) with a wide angular step. Stops as soon as the target total
     variance is reached. The graph is searched as its search_equivalent,
-    whose LO phase shift carries the optimum back. Raises ValueError
-    before searching when the graph has no known inseparability bounds
-    or when the flat phase-0 pump at eta_max loses symplecticity
-    (_check_ceiling), from a search batch whose propagators overflow,
-    and from propagator_exact when the winner lost symplecticity.
+    whose LO phase shift carries the optimum back, and any graph is
+    certified on every bipartition from its own nullifier rows. Raises
+    ValueError before searching when the flat phase-0 pump at eta_max
+    loses symplecticity (_check_ceiling), from a search batch whose
+    propagators overflow, and from propagator_exact when the winner lost
+    symplecticity.
     """
     n = cfg.n
-    bounds = inseparability_bounds(graph)
     es = ESConfig(
         population=population, parents=parents, max_generations=generations, target=target
     )
@@ -646,7 +644,7 @@ def synthesize_cluster(
         pump=pump,
         state=state,
         lo_phases=theta,
-        report=certify(state, graph, theta, bounds=bounds),
+        report=certify(state, graph, theta),
         restarts_used=used,
     )
 

@@ -587,6 +587,28 @@ class TestVerify:
         assert run(["verify", "--config", cfg_path, "--out", str(out)]) == 2
         assert "certified=False" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["verify", "cluster"])
+    def test_custom_graph_certified(self, tmp_path, command):
+        """A 4-node path adjacency is certified on its 7 bipartitions from
+        its own nullifier rows; verify exits 0 or 2 by the verdict, and a
+        forward cluster run reports the same."""
+        data = {
+            "array": {**ARRAY, "n": 4},
+            "pump": {"amplitudes": [0.09] * 4, "phases_pi": [-0.5] * 4},
+            "measurement": {"lo_phases_pi": [0.0] * 4},
+            "graph": {"adjacency": [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]},
+        }
+        if command == "cluster":
+            data["optimizer"] = {"fitness": "FC", "generations": 0}
+        out = tmp_path / "out"
+        code = run([command, "--config", write_config(tmp_path, data), "--out", str(out)])
+        report = read_record(out, command)["results"]["report"]
+        assert len(report["bipartitions"]) == len(report["bounds"]) == 7
+        if command == "verify":
+            assert code == (0 if report["passed"] else 2)
+        else:
+            assert code == 0
+
     @pytest.mark.parametrize("command", ["verify", "propagate", "vlf"])
     def test_lost_symplecticity_exits_one(self, tmp_path, capsys, command):
         """A propagator whose roundoff broke symplecticity is refused, not reported.

@@ -26,6 +26,7 @@ from anwsim import (
     search_equivalent,
     vlf_values,
 )
+from anwsim.entanglement import _separable_bounds
 from anwsim.symplectic import bloch_messiah
 
 np.random.seed(42)
@@ -36,6 +37,20 @@ LINEAR_PUMP = PumpProfile(
     np.array([0.092, 0.089, 0.091, 0.091, 0.092]), np.full(5, -np.pi / 2)
 )
 LINEAR_VARS = np.array([0.20, 0.39, 0.37, 0.38, 0.20])
+
+# the hand table of ((node_i, node_j), bound) entries that certification
+# once read in place of the bounds derived from the nullifier rows
+HAND_BOUNDS = {
+    "linear": (
+        ((1, 2), np.sqrt(8.0 / 3.0)),
+        ((2, 3), 4.0 / 3.0),
+        ((3, 4), 4.0 / 3.0),
+        ((4, 5), np.sqrt(8.0 / 3.0)),
+    ),
+    "pentagon": tuple(((i, i + 1), 4.0 / 3.0) for i in range(1, 5)),
+    "star": tuple(((i, 3), np.sqrt(8.0 / 5.0)) for i in (1, 2, 4, 5)),
+    "pyramid": (((4, 3), np.sqrt(8.0 / 5.0)), ((5, 3), np.sqrt(8.0 / 5.0))),
+}
 
 
 def vacuum(n):
@@ -128,7 +143,7 @@ class TestGraphSpec:
 
     @pytest.mark.parametrize("name", ["pyramid", "ghz"])
     def test_preset_name_needs_preset_adjacency(self, name):
-        """A preset's name keys its nullifiers and bounds, so another
+        """A preset's name keys its nullifiers, so another
         adjacency (a 5-node chain, or a 3-node path) may not take it."""
         chain = graph_preset("linear").adjacency
         path = chain[:3, :3]
@@ -285,39 +300,67 @@ class TestCertify:
         assert not report.passed
 
     def test_linear_bound_table(self, linear_state):
-        """The chain bounds are sqrt(8/3) at the ends and 4/3 inside."""
+        """On each of the 15 cuts the chain keeps the crossing edge with the
+        largest margin; an edge's bound is 4/sqrt((1+deg i)(1+deg j)), so
+        sqrt(8/3) at the ends and 4/3 inside."""
         report = certify(linear_state, graph_preset("linear"), np.zeros(5))
-        assert report.bound_pairs == ((1, 2), (2, 3), (3, 4), (4, 5))
-        expected = [np.sqrt(8.0 / 3.0), 4.0 / 3.0, 4.0 / 3.0, np.sqrt(8.0 / 3.0)]
-        assert np.allclose(report.bounds, expected, atol=1e-14, rtol=0)
-        sums = report.nullifier_variances[[0, 1, 2, 3]] + report.nullifier_variances[
-            [1, 2, 3, 4]
-        ]
-        assert np.allclose(report.bound_sums, sums, atol=1e-14, rtol=0)
+        var = report.nullifier_variances
+        bound = {(1, 2): np.sqrt(8.0 / 3.0), (2, 3): 4.0 / 3.0, (3, 4): 4.0 / 3.0,
+                 (4, 5): np.sqrt(8.0 / 3.0)}
+        assert len(report.bipartitions) == 15
+        for cut, pair, s, b in zip(
+            report.bipartitions, report.bound_pairs, report.bound_sums, report.bounds
+        ):
+            crossing = [e for e in bound if (e[0] in cut) != (e[1] in cut)]
+            margins = [bound[e] - var[e[0] - 1] - var[e[1] - 1] for e in crossing]
+            assert pair == crossing[int(np.argmax(margins))], cut
+            assert np.isclose(b, bound[pair], atol=1e-14, rtol=0)
+            assert s == var[pair[0] - 1] + var[pair[1] - 1]
 
     def test_star_bound_pairs_share_center(self):
-        """Star bounds pair every leaf with the center node."""
+        """Leaf pairs bound no cut, so on the vacuum every cut keeps the
+        first leaf the cut separates from the centre, at sqrt(8/5)."""
         report = certify(vacuum(5), graph_preset("star"), np.zeros(5))
-        assert report.bound_pairs == ((1, 3), (2, 3), (4, 3), (5, 3))
+        for cut, pair in zip(report.bipartitions, report.bound_pairs):
+            leaf = min(k for k in (1, 2, 4, 5) if (k in cut) != (3 in cut))
+            assert pair == tuple(sorted((leaf, 3))), cut
         assert np.allclose(report.bounds, np.sqrt(8.0 / 5.0), atol=1e-14, rtol=0)
 
-    def test_custom_graph_needs_bounds(self):
-        """Custom graphs have no preset bound table."""
-        j = np.zeros((3, 3))
-        j[0, 1] = j[1, 0] = j[1, 2] = j[2, 1] = 1.0
-        with pytest.raises(ValueError, match="no inseparability bounds known"):
-            certify(vacuum(3), GraphSpec(j), np.zeros(3))
+    @pytest.mark.parametrize("name", ["linear", "pentagon", "star", "ghz", "pyramid"])
+    def test_bounds_reproduce_hand_table(self, name):
+        """The derived bounds reproduce the hand table they replaced: each
+        entry is the minimum of its pair's bound over the cuts that separate
+        the pair. The pyramid's two entries bound only the cuts that put
+        node 1 (resp. 2) with the apex, and leave three cuts unbounded."""
+        pairs, far, bounds = _separable_bounds(graph_preset(name))
+        row = {(i + 1, j + 1): k for k, (i, j) in enumerate(pairs)}
+        covered = np.zeros(len(far), dtype=bool)
+        for (i, j), value in HAND_BOUNDS["star" if name == "ghz" else name]:
+            b = bounds[row[min(i, j), max(i, j)]]
+            separated = far[:, i - 1] != far[:, j - 1]
+            if name != "pyramid":
+                assert np.isclose(b[separated].min(), value, atol=1e-12, rtol=0)
+            covered |= b >= value - 1e-12
+        uncovered = [tuple(np.flatnonzero(r) + 1) for r in far[~covered]]
+        assert uncovered == ([(3,), (2, 5), (2, 3, 5)] if name == "pyramid" else [])
 
-    def test_custom_graph_with_explicit_bounds(self):
-        """Explicit bounds make custom graphs certifiable."""
+    def test_custom_graph_certified_from_rows(self):
+        """A custom 3-node path is certified from its own rows: 3 cuts,
+        each bounded by the edge it cuts, and vacuum is not inseparable."""
         j = np.zeros((3, 3))
         j[0, 1] = j[1, 0] = j[1, 2] = j[2, 1] = 1.0
-        report = certify(
-            vacuum(3), GraphSpec(j), np.zeros(3), bounds=(((1, 2), 1.0),)
-        )
-        assert report.bound_pairs == ((1, 2),)
-        assert np.isclose(report.bound_sums[0], 2.0, atol=1e-12, rtol=0)
+        report = certify(vacuum(3), GraphSpec(j), np.zeros(3))
+        assert report.bipartitions == ((2,), (3,), (2, 3))
+        assert report.bound_pairs == ((1, 2), (2, 3), (1, 2))
+        assert np.allclose(report.bounds, 4.0 / np.sqrt(6.0), atol=1e-14, rtol=0)
+        assert np.allclose(report.bound_sums, 2.0, atol=1e-12, rtol=0)
         assert not report.inseparable
+
+    def test_single_node_has_no_cut(self):
+        """One node has no pair and no bipartition to certify."""
+        report = certify(vacuum(1), GraphSpec(np.zeros((1, 1))), np.zeros(1))
+        assert report.bipartitions == () and report.bound_pairs == ()
+        assert report.bounds.shape == report.bound_sums.shape == (0,)
 
     def test_report_carries_vlf(self, linear_state):
         """The report evaluates the VLF set at the same detector phases."""
@@ -349,6 +392,88 @@ class TestCertify:
             moved.nullifier_variances, base.nullifier_variances, atol=1e-12, rtol=0
         )
         assert np.allclose(moved.bound_sums, base.bound_sums, atol=1e-12, rtol=0)
+
+
+def random_symplectic(rng, m):
+    """A random 2m x 2m symplectic O1 K O2, with passive O1, O2 from
+    random unitaries and K squeezing each mode on its own."""
+
+    def passive():
+        u = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+        return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+    r = rng.uniform(-1.5, 1.5, m)
+    return passive() @ np.diag(np.exp(np.concatenate([-r, r]))) @ passive()
+
+
+def split_propagator(rng, n, sides):
+    """A random propagator that acts on each side (0-based modes) alone,
+    so its state is a product across the sides."""
+    s = np.zeros((2 * n, 2 * n))
+    for side in sides:
+        idx = np.concatenate([side, n + side])
+        s[np.ix_(idx, idx)] = random_symplectic(rng, len(side))
+    return s
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7))
+def test_product_states_never_certified(seed, n):
+    """On a random graph no cut of a random product of single-mode states,
+    nor of the vacuum, is certified; the bounds come from the rows alone, so LO phases
+    and the labeling leave them unchanged. Vacuum on an isolated edge sits
+    exactly on its bound, hence the roundoff slack."""
+    rng = np.random.default_rng(seed)
+    j = np.triu(rng.integers(0, 2, (n, n)), 1)
+    j = (j + j.T).astype(float)
+    perm = rng.permutation(n) + 1
+    pairs, far, bounds = _separable_bounds(GraphSpec(j))
+    row = {(i + 1, k + 1): m for m, (i, k) in enumerate(pairs.tolist())}
+    each_mode = GaussianState.from_propagator(0.0, split_propagator(rng, n, np.arange(n)[:, None]))
+    for state in (each_mode, vacuum(n)):
+        base = certify(state, GraphSpec(j), rng.uniform(-np.pi, np.pi, n))
+        moved = certify(state, GraphSpec(j, labeling=perm), rng.uniform(-np.pi, np.pi, n))
+        for report in (base, moved):
+            assert len(report.bipartitions) == 2 ** (n - 1) - 1
+            assert np.all(report.bound_sums >= report.bounds - 1e-12)
+            rows = [row[pair] for pair in report.bound_pairs]
+            assert np.array_equal(report.bounds, bounds[rows, np.arange(len(far))])
+        assert moved.bipartitions == tuple(
+            tuple(sorted(perm[np.array(cut) - 1].tolist())) for cut in base.bipartitions
+        )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7))
+def test_state_product_across_a_cut_never_certifies_it(seed, n):
+    """A state that is a product across a random cut of the nodes never
+    certifies that cut, on a random graph under a random labeling. Two
+    such states: each side a random pure Gaussian state, and the cluster
+    of the graph with its crossing edges removed, whose nullifiers away
+    from the cut are squeezed, so that pairs on one side of the cut sum
+    far below any bound they could have across it."""
+    rng = np.random.default_rng(seed)
+    j = np.triu(rng.integers(0, 2, (n, n)), 1)
+    j = (j + j.T).astype(float)
+    labeling = rng.permutation(n) + 1
+    nodes = rng.permutation(n)
+    cut = int(rng.integers(1, n))
+    near, far = (nodes[:cut], nodes[cut:]) if 0 in nodes[:cut] else (nodes[cut:], nodes[:cut])
+    split = split_propagator(rng, n, (near, far))
+    on_far = np.isin(np.arange(n), far)
+    uncut = GraphSpec(j * (on_far[:, None] == on_far[None, :]))
+    r = np.full(n, rng.uniform(0.5, 1.5))
+    cluster = cluster_transform(uncut).matrix @ np.diag(np.exp(np.concatenate([r, -r])))
+    # node k sits on mode labeling[k]
+    move = np.zeros((n, n))
+    move[labeling - 1, np.arange(n)] = 1.0
+    move = np.block([[move, np.zeros((n, n))], [np.zeros((n, n)), move]])
+    name = tuple(sorted(labeling[far].tolist()))
+    for s, theta in ((split, rng.uniform(-np.pi, np.pi, n)), (cluster, np.zeros(n))):
+        state = GaussianState.from_propagator(0.0, move @ s)
+        report = certify(state, GraphSpec(j, labeling=labeling), theta)
+        k = report.bipartitions.index(name)
+        assert report.bound_sums[k] >= report.bounds[k] - 1e-12
 
 
 class TestGhzStarEquivalence:

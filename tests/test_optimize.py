@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anwsim import (
+    ArrayConfig,
     ESConfig,
     ETA_MAX,
     GAIN_LIMIT,
@@ -568,17 +569,17 @@ class TestSynthesizeCluster:
         )
         assert np.isclose(syn.total_variance, syn.optimization.fitness, atol=0, rtol=1e-9)
 
-    def test_graph_without_bounds_refused_before_search(self, cfg5, monkeypatch):
-        """A custom graph has no bound table to certify against, so it is
-        refused before any search runs."""
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(optimize, "_multistart", no_search)
-        graph = GraphSpec(graph_preset("linear").adjacency, name="chain")
-        with pytest.raises(ValueError, match="no inseparability bounds known"):
-            synthesize_cluster(cfg5, 30.0, graph, restarts=2, generations=30)
+    def test_custom_graph_certified_on_every_cut(self):
+        """A custom 4-node path is searched and certified from its own
+        nullifier rows, on all 7 bipartitions."""
+        chain = graph_preset("linear").adjacency[:4, :4]
+        syn = synthesize_cluster(
+            ArrayConfig(n=4, coupling=0.24, length=30.0), 30.0, GraphSpec(chain, name="chain"),
+            seed=41, restarts=1, generations=3, parents=4, population=16,
+        )
+        assert syn.graph == "chain"
+        assert len(syn.report.bipartitions) == len(syn.report.bounds) == 7
+        assert np.isclose(syn.total_variance, syn.optimization.fitness, atol=0, rtol=1e-9)
 
     @pytest.mark.parametrize("eta_max", [8.0, 20.0])
     def test_search_overflow_refused(self, cfg5, eta_max):
