@@ -356,6 +356,23 @@ class TestCertify:
         assert np.allclose(report.bound_sums, 2.0, atol=1e-12, rtol=0)
         assert not report.inseparable
 
+    def test_custom_graph_squeezed_path_passes(self):
+        """An ideal squeezed graph state on a custom 3-node path passes on
+        every cut: CZ gates on p-squeezed modes leave each normalized
+        nullifier at exp(-2r)/(1 + deg)."""
+        j = np.zeros((3, 3))
+        j[0, 1] = j[1, 0] = j[1, 2] = j[2, 1] = 1.0
+        r = 1.0
+        squeeze = np.diag(np.exp([r, r, r, -r, -r, -r]))
+        cz = np.block([[np.eye(3), np.zeros((3, 3))], [j, np.eye(3)]])
+        state = GaussianState.from_propagator(0.0, cz @ squeeze)
+        report = certify(state, GraphSpec(j), np.zeros(3))
+        expected = np.exp(-2 * r) / np.array([2.0, 3.0, 2.0])
+        assert np.allclose(report.nullifier_variances, expected, atol=1e-12, rtol=0)
+        assert np.allclose(report.bound_sums, expected[0] + expected[1], atol=1e-12, rtol=0)
+        assert report.inseparable
+        assert report.passed
+
     def test_single_node_has_no_cut(self):
         """One node has no pair and no bipartition to certify."""
         report = certify(vacuum(1), GraphSpec(np.zeros((1, 1))), np.zeros(1))
