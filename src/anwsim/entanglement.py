@@ -4,10 +4,12 @@ Two certification routes are implemented. The van Loock-Furusawa route
 bounds pairwise combinations rho_i of rotated quadratures; full N-partite
 inseparability is guaranteed when all N-1 values drop below 4. The
 graph-state route checks the variances of normalized nullifiers
-delta_i = (y_i - sum_j J_ij x_j)/sqrt(1 + n(i)) and, on every bipartition
-of the nodes, the separability bound of each pair of nullifier rows; a
-cluster is certified when every variance is below shot noise and every
-bipartition has a pair whose variance sum violates its bound.
+delta_i = (y_i - sum_j J_ij x_j)/sqrt(1 + n(i)) and the separability
+bound of each pair of nullifier rows. Each pair bounds exactly the node
+bipartitions across one support edge, by one value, so a maximum spanning
+tree over the pairs' margins (Kruskal) decides every bipartition from
+N - 1 of them: a cluster is certified when every variance is below shot
+noise and every tree pair's variance sum violates its bound.
 
 Graphs are specified by a 0/1 adjacency matrix over nodes plus a labeling
 that assigns each node to a physical mode. The five built-in 5-node
@@ -92,6 +94,8 @@ class GraphSpec:
         j = np.asarray(self.adjacency, dtype=float)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {j.shape}")
+        if j.shape[0] == 0:
+            raise ValueError("a graph needs at least one node, got an empty adjacency")
         if np.any(j != j.T) or np.any(np.diag(j) != 0) or not np.isin(j, (0.0, 1.0)).all():
             raise ValueError("adjacency must be symmetric 0/1 with zero diagonal")
         n = j.shape[0]
@@ -243,32 +247,50 @@ def vlf_values(
     return vlf_values_batch(state.covariance, theta, g)
 
 
-def _separable_bounds(graph: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-based node pairs i < j (P, 2, row-major), cuts (K, n) and bounds (P, K).
+def _pair_bounds(graph: GraphSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based node pairs i < j with a nonzero c (P, 2, row-major), the
+    support edge a < b of each (P, 2) and its one bound (P,), from the
+    graph's nullifier rows in mode ordering.
 
-    Row b of the 0/1 cut matrix marks the nodes on the side of cut b that
-    does not hold node 1, the set bits of 2(b + 1): the K = 2^(n-1) - 1
-    cuts count in binary over nodes 2..n. A product state across a cut
-    (A, B) has V(delta_i) + V(delta_j) >= 2(|sum_A c_k| + |sum_B c_k|),
-    with c_k = x_i[k] p_j[k] - p_i[k] x_j[k] from the rows' coefficients
-    and vacuum variance 1 (van Loock and Furusawa, PRA 67, 052315, 2003).
+    A product state across a cut (A, B) has V(delta_i) + V(delta_j) >=
+    2(|sum_A c_k| + |sum_B c_k|), with c_k = x_i[k] p_j[k] - p_i[k] x_j[k]
+    from the rows' coefficients on node k and vacuum variance 1 (van Loock
+    and Furusawa, PRA 67, 052315, 2003). Every row set built here has c
+    nonzero on exactly two nodes a, b with c_a + c_b = 0, so the pair
+    bounds the cuts that separate a from b, each by 2(|c_a| + |c_b|), and
+    no other cut; a pair that breaks this is refused.
     """
     n = graph.n
-    rows, k = _node_rows(graph), np.arange(n)
-    x, p = rows[:, :n], rows[:, n:]
-    i, j = np.nonzero(k[:, None] < k)
-    c = x[i] * p[j] - p[i] * x[j]
-    far = (((2 * np.arange(1, 2 ** (n - 1)))[:, None] >> k) & 1).astype(float)
-    bounds = 2.0 * (np.abs(c @ far.T) + np.abs(c @ (1 - far).T))
-    return np.stack([i, j], axis=1), far, bounds
+    modes = graph.labeling - 1
+    x, p = rows[:, modes], rows[:, n + modes]
+    k = np.arange(n)
+    upper = k[:, None] < k
+    c = (x[:, None] * p - p[:, None] * x)[upper]
+    nonzero = np.abs(c) > 1e-12
+    count = nonzero.sum(axis=1)
+    ok = ((count == 0) | (count == 2)) & (np.abs(c.sum(axis=1)) <= 1e-12)
+    pairs = np.argwhere(upper)
+    if not ok.all():
+        first = np.argmin(ok)
+        i, j = pairs[first] + 1
+        raise ValueError(
+            f"graph {graph.name!r}: nullifier pair ({i}, {j}) has c = {c[first]}, "
+            "not two opposite nonzero entries"
+        )
+    keep = count == 2
+    edges = np.nonzero(nonzero[keep])[1].reshape(-1, 2)
+    return pairs[keep], edges, 2.0 * np.abs(c[keep]).sum(axis=1)
 
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of a graph-state certification measurement. The last four
-    fields hold one entry per bipartition of the nodes, named by the sorted
-    1-based modes on the side without node 1: the 1-based node pair i < j
-    with the largest margin there, its variance sum and its bound."""
+    """Outcome of a graph-state certification measurement.
+
+    The last four fields hold one entry per cut that ``certify`` reports,
+    in merge order, named by the sorted 1-based modes on the side without
+    node 1: the 1-based node pair i < j reported there (empty on the cut
+    of unjoined nodes), its variance sum and its bound. A connected graph
+    has N - 1 entries, the last the worst cut."""
 
     graph: str
     lo_phases: np.ndarray
@@ -276,7 +298,7 @@ class CertificationReport:
     nullifier_variances: np.ndarray
     vlf: np.ndarray
     bipartitions: tuple[tuple[int, ...], ...]
-    bound_pairs: tuple[tuple[int, int], ...]
+    bound_pairs: tuple[tuple[int, ...], ...]
     bound_sums: np.ndarray
     bounds: np.ndarray
 
@@ -301,32 +323,61 @@ def certify(
 ) -> CertificationReport:
     """Evaluate nullifier variances and separability bounds on a state.
 
-    Each of the 2^(n-1) - 1 bipartitions of the nodes keeps the pair of
-    nullifier rows i < j with the largest margin (bound minus variance
-    sum), the first in row-major order on ties. The report passes when
-    every nullifier variance is below 1 and every kept sum is below its
-    bound. The VLF values are evaluated at the same LO phases with the
-    given gains (zero if omitted).
+    Each pair of nullifier rows bounds exactly the cuts across its support
+    edge, by one value (``_pair_bounds``). Kruskal's rule takes the pairs
+    by margin (bound minus variance sum), largest first and in row-major
+    order on ties, and keeps each pair that joins two components of the
+    nodes. It is reported on the cut between the joined component of its
+    support node b and the rest: any pair crossing that cut comes later,
+    so none has a larger margin there. When the pairs join every node,
+    every cut is crossed by some kept pair, whose margin is at least the
+    last kept one, so that is the worst over all cuts of the best margin
+    of the pairs crossing it. Nodes the pairs leave unjoined get one more
+    cut, with an empty pair, sum 0 and bound 0, so the verdict fails. The
+    report passes when every nullifier variance is below 1 and every
+    reported sum is below its bound. The VLF values are evaluated at the
+    same LO phases with the given gains (zero if omitted).
     """
-    theta = _lo_phases(graph.n, lo_phases)
-    g = np.zeros(graph.n) if gains is None else np.asarray(gains, dtype=float)
-    variances = quadrature_variances(state.covariance, nullifier_rows(graph), theta)
-    pairs, far, bounds = _separable_bounds(graph)
+    n = graph.n
+    theta = _lo_phases(n, lo_phases)
+    g = np.zeros(n) if gains is None else np.asarray(gains, dtype=float)
+    rows = nullifier_rows(graph)
+    variances = quadrature_variances(state.covariance, rows, theta)
+    pairs, edges, bounds = _pair_bounds(graph, rows)
     sums = variances[pairs].sum(axis=1)
-    # a single node has no pair and no cut
-    best = np.argmax(bounds - sums[:, None], axis=0) if len(pairs) else np.zeros(0, int)
-    # each cut's far side as 0/1 over the modes, in mode order
-    on_modes = far[:, np.argsort(graph.labeling)].tolist()
+    margins = (bounds - sums).tolist()
+    # member[k] names node k's component; parts[c] lists component c's nodes
+    member, parts = list(range(n)), {k: [k] for k in range(n)}
+    edge_list, pair_list = edges.tolist(), (pairs + 1).tolist()
+    cuts = []  # (side, 1-based pair, sum, bound) per join
+    # sorted keeps row-major order among equal margins, also in reverse
+    for e in sorted(range(len(margins)), key=margins.__getitem__, reverse=True):
+        a, b = edge_list[e]
+        near, joined = member[a], member[b]
+        if near != joined:
+            cuts.append((parts[joined], tuple(pair_list[e]), sums[e], bounds[e]))
+            for k in parts[joined]:
+                member[k] = near
+            parts[near] += parts.pop(joined)
+    if len(parts) > 1:
+        cuts.append((parts[member[0]], (), 0.0, 0.0))
+    sides, cut_pairs, cut_sums, cut_bounds = zip(*cuts) if cuts else [()] * 4
+    # each cut is named by the sorted 1-based modes on its side without node 1
+    lab = graph.labeling.tolist()
+    names = [
+        tuple(sorted(m for k, m in enumerate(lab) if (k in side) != (0 in side)))
+        for side in map(set, sides)
+    ]
     return CertificationReport(
         graph=graph.name,
         lo_phases=theta,
         gains=g,
         nullifier_variances=variances,
         vlf=vlf_values(state, theta, g),
-        bipartitions=tuple(tuple(m for m, on in enumerate(row, 1) if on) for row in on_modes),
-        bound_pairs=tuple(map(tuple, (pairs[best] + 1).tolist())),
-        bound_sums=sums[best],
-        bounds=bounds[best, np.arange(len(far))],
+        bipartitions=tuple(names),
+        bound_pairs=cut_pairs,
+        bound_sums=np.array(cut_sums, dtype=float),
+        bounds=np.array(cut_bounds, dtype=float),
     )
 
 

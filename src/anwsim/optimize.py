@@ -615,7 +615,8 @@ def synthesize_cluster(
     in [-pi, pi)) with a wide angular step. Stops as soon as the target total
     variance is reached. The graph is searched as its search_equivalent,
     whose LO phase shift carries the optimum back, and any graph is
-    certified on every bipartition from its own nullifier rows. Raises
+    certified from its own nullifier rows (``certify``: the N - 1 cuts of a
+    maximum spanning tree decide every bipartition). Raises
     ValueError before searching when the flat phase-0 pump at eta_max
     loses symplecticity (_check_ceiling), from a search batch whose
     propagators overflow, and from propagator_exact when the winner lost

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import anwsim.optimize
 from anwsim import cli, parse_config
 from anwsim import (
     GaussianState,
+    GraphSpec,
     PumpProfile,
     bloch_messiah,
     linear_supermodes,
@@ -25,6 +27,7 @@ from anwsim import (
     vlf_values,
 )
 from anwsim.cli import run
+from test_entanglement import check_against_oracle
 
 ARRAY = {"n": 5, "coupling": 0.24, "length": 30.0}
 LINEAR_PUMP = {
@@ -589,9 +592,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "cluster"])
     def test_custom_graph_certified(self, tmp_path, command):
-        """A 4-node path adjacency is certified on its 7 bipartitions from
-        its own nullifier rows; verify exits 0 or 2 by the verdict, and a
-        forward cluster run reports the same."""
+        """A 4-node path adjacency is certified from its own nullifier rows
+        on the 3 cuts of its edges, as the enumeration over all 7 cuts
+        finds; verify exits 0 or 2 by the verdict, and a forward cluster
+        run reports the same."""
         data = {
             "array": {**ARRAY, "n": 4},
             "pump": {"amplitudes": [0.09] * 4, "phases_pi": [-0.5] * 4},
@@ -603,7 +607,17 @@ class TestVerify:
         out = tmp_path / "out"
         code = run([command, "--config", write_config(tmp_path, data), "--out", str(out)])
         report = read_record(out, command)["results"]["report"]
-        assert len(report["bipartitions"]) == len(report["bounds"]) == 7
+        assert len(report["bipartitions"]) == len(report["bounds"]) == 3
+        arrays = ("nullifier_variances", "bound_sums", "bounds")
+        check_against_oracle(
+            SimpleNamespace(
+                **{key: np.array(report[key]) for key in arrays},
+                bipartitions=tuple(map(tuple, report["bipartitions"])),
+                bound_pairs=tuple(map(tuple, report["bound_pairs"])),
+                inseparable=report["inseparable"],
+            ),
+            GraphSpec(np.array(data["graph"]["adjacency"])),
+        )
         if command == "verify":
             assert code == (0 if report["passed"] else 2)
         else:

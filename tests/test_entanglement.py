@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+import anwsim.entanglement
 from anwsim import (
     ArrayConfig,
     GaussianState,
@@ -26,7 +28,6 @@ from anwsim import (
     search_equivalent,
     vlf_values,
 )
-from anwsim.entanglement import _separable_bounds
 from anwsim.symplectic import bloch_messiah
 
 np.random.seed(42)
@@ -58,12 +59,89 @@ def vacuum(n):
     return GaussianState.from_propagator(0.0, np.eye(2 * n))
 
 
+def path_graph(n):
+    """Adjacency of the n-node path 1-2-...-n."""
+    k = np.arange(n - 1)
+    j = np.zeros((n, n))
+    j[k, k + 1] = j[k + 1, k] = 1.0
+    return j
+
+
+def ring_graph(n):
+    """Adjacency of the n-node ring: the path closed by the edge (n, 1)."""
+    j = path_graph(n)
+    j[0, -1] = j[-1, 0] = 1.0
+    return j
+
+
+def cz_graph_state(j, r):
+    """Graph state of adjacency j built by CZ gates on modes whose p
+    quadratures are squeezed by r (a scalar or one per node)."""
+    n = len(j)
+    r = np.broadcast_to(r, (n,))
+    cz = np.block([[np.eye(n), np.zeros((n, n))], [j, np.eye(n)]])
+    return GaussianState.from_propagator(0.0, cz @ np.diag(np.exp(np.concatenate([r, -r]))))
+
+
 def two_mode_squeezer(r):
     """Two-mode squeezed vacuum from a 50:50 splitter on +/- r squeezers."""
     k = np.diag(np.exp([r, -r, -r, r]))
     b = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     bs = np.block([[b, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
     return GaussianState.from_propagator(0.0, bs @ k)
+
+
+def _separable_bounds(graph):
+    """Enumeration oracle: 0-based node pairs i < j (P, 2, row-major), all
+    cuts (K, n) and every pair's bound on every cut (P, K).
+
+    Row b of the 0/1 cut matrix marks the nodes on the side of cut b that
+    does not hold node 1, the set bits of 2(b + 1): the K = 2^(n-1) - 1
+    cuts count in binary over nodes 2..n. A product state across a cut
+    (A, B) has V(delta_i) + V(delta_j) >= 2(|sum_A c_k| + |sum_B c_k|),
+    with c_k = x_i[k] p_j[k] - p_i[k] x_j[k] from the rows' coefficients
+    and vacuum variance 1 (van Loock and Furusawa, PRA 67, 052315, 2003).
+    """
+    n = graph.n
+    rows, k = anwsim.entanglement._node_rows(graph), np.arange(n)
+    x, p = rows[:, :n], rows[:, n:]
+    i, j = np.nonzero(k[:, None] < k)
+    c = x[i] * p[j] - p[i] * x[j]
+    far = (((2 * np.arange(1, 2 ** (n - 1)))[:, None] >> k) & 1).astype(float)
+    bounds = 2.0 * (np.abs(c @ far.T) + np.abs(c @ (1 - far).T))
+    return np.stack([i, j], axis=1), far, bounds
+
+
+def cut_index(graph, cut):
+    """Row of the oracle's cut matrix for a cut named by its 1-based modes."""
+    return sum(2**k for k, m in enumerate(graph.labeling) if m in cut) // 2 - 1
+
+
+def check_against_oracle(report, graph):
+    """A report against the enumeration over all cuts: the same verdict,
+    the same worst margin whenever it is positive, and on each reported
+    cut the reported pair's bound, with no pair that bounds the cut at a
+    larger margin. The cut of unjoined nodes has no pair that bounds it."""
+    pairs, far, bounds = _separable_bounds(graph)
+    var = report.nullifier_variances
+    margins = bounds - var[pairs].sum(axis=1)[:, None]
+    best = margins.max(axis=0)
+    assert report.inseparable == bool(np.all(best > 0))
+    if best.min() > 0:
+        worst = np.min(report.bounds - report.bound_sums)
+        assert np.isclose(worst, best.min(), atol=1e-12, rtol=0)
+    row = {(i + 1, j + 1): r for r, (i, j) in enumerate(pairs.tolist())}
+    for cut, pair, s, b in zip(
+        report.bipartitions, report.bound_pairs, report.bound_sums, report.bounds
+    ):
+        k = cut_index(graph, cut)
+        bounding = bounds[:, k] > 1e-9
+        if pair == ():
+            assert not bounding.any() and s == b == 0.0, cut
+            continue
+        assert np.isclose(b, bounds[row[pair], k], atol=1e-12, rtol=0), cut
+        assert s == var[pair[0] - 1] + var[pair[1] - 1], cut
+        assert b - s >= margins[bounding, k].max() - 1e-12, cut
 
 
 def s_lo(graph, state, euler):
@@ -111,6 +189,10 @@ class TestGraphSpec:
         j = np.zeros((3, 3))
         with pytest.raises(ValueError, match="labeling must be a permutation"):
             GraphSpec(j, labeling=np.array([1, 2, 2]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            GraphSpec(np.zeros((0, 0)))
 
     def test_unknown_preset(self):
         """Unknown preset names raise an error."""
@@ -300,14 +382,17 @@ class TestCertify:
         assert not report.passed
 
     def test_linear_bound_table(self, linear_state):
-        """On each of the 15 cuts the chain keeps the crossing edge with the
-        largest margin; an edge's bound is 4/sqrt((1+deg i)(1+deg j)), so
-        sqrt(8/3) at the ends and 4/3 inside."""
+        """The chain reports 4 cuts, one per edge, and on each the crossing
+        edge with the largest margin, as the enumeration over all 15 cuts
+        finds; an edge's bound is 4/sqrt((1+deg i)(1+deg j)), so sqrt(8/3)
+        at the ends and 4/3 inside."""
         report = certify(linear_state, graph_preset("linear"), np.zeros(5))
         var = report.nullifier_variances
         bound = {(1, 2): np.sqrt(8.0 / 3.0), (2, 3): 4.0 / 3.0, (3, 4): 4.0 / 3.0,
                  (4, 5): np.sqrt(8.0 / 3.0)}
-        assert len(report.bipartitions) == 15
+        assert len(report.bipartitions) == 4
+        assert sorted(report.bound_pairs) == sorted(bound)
+        check_against_oracle(report, graph_preset("linear"))
         for cut, pair, s, b in zip(
             report.bipartitions, report.bound_pairs, report.bound_sums, report.bounds
         ):
@@ -345,16 +430,18 @@ class TestCertify:
         assert uncovered == ([(3,), (2, 5), (2, 3, 5)] if name == "pyramid" else [])
 
     def test_custom_graph_certified_from_rows(self):
-        """A custom 3-node path is certified from its own rows: 3 cuts,
-        each bounded by the edge it cuts, and vacuum is not inseparable."""
+        """A custom 3-node path is certified from its own rows: 2 cuts, each
+        bounded by the edge it cuts, as the enumeration over all 3 cuts
+        finds, and vacuum is not inseparable."""
         j = np.zeros((3, 3))
         j[0, 1] = j[1, 0] = j[1, 2] = j[2, 1] = 1.0
         report = certify(vacuum(3), GraphSpec(j), np.zeros(3))
-        assert report.bipartitions == ((2,), (3,), (2, 3))
-        assert report.bound_pairs == ((1, 2), (2, 3), (1, 2))
+        assert report.bipartitions == ((2,), (3,))
+        assert report.bound_pairs == ((1, 2), (2, 3))
         assert np.allclose(report.bounds, 4.0 / np.sqrt(6.0), atol=1e-14, rtol=0)
         assert np.allclose(report.bound_sums, 2.0, atol=1e-12, rtol=0)
         assert not report.inseparable
+        check_against_oracle(report, GraphSpec(j))
 
     def test_custom_graph_squeezed_path_passes(self):
         """An ideal squeezed graph state on a custom 3-node path passes on
@@ -372,6 +459,46 @@ class TestCertify:
         assert np.allclose(report.bound_sums, expected[0] + expected[1], atol=1e-12, rtol=0)
         assert report.inseparable
         assert report.passed
+
+    def test_unjoined_nodes_fail_on_one_cut(self):
+        """Two disjoint edges: each is reported on its own cut, and the
+        nodes they leave unjoined get one cut with no pair, sum 0 and
+        bound 0, so an ideal squeezed state on them is not inseparable."""
+        j = np.zeros((4, 4))
+        j[0, 1] = j[1, 0] = j[2, 3] = j[3, 2] = 1.0
+        report = certify(cz_graph_state(j, 1.0), GraphSpec(j), np.zeros(4))
+        assert report.bipartitions == ((2,), (4,), (3, 4))
+        assert report.bound_pairs == ((1, 2), (3, 4), ())
+        assert report.bound_sums[-1] == report.bounds[-1] == 0.0
+        assert np.all(report.bound_sums[:2] < report.bounds[:2])
+        assert report.below_shot and not report.inseparable
+        check_against_oracle(report, GraphSpec(j))
+
+    def test_pair_off_two_nodes_refused(self, monkeypatch):
+        """Rows whose pair has c on three nodes break the structure every
+        pair bound relies on, so certify refuses them and names the pair."""
+        rows = np.zeros((3, 6))
+        rows[0, 3:] = 1.0
+        rows[1, :3] = [1.0, 1.0, -2.0]
+        rows[2, 5] = 1.0
+        monkeypatch.setattr(anwsim.entanglement, "_node_rows", lambda graph: rows)
+        with pytest.raises(ValueError, match=r"graph 'custom': nullifier pair \(1, 2\)"):
+            certify(vacuum(3), GraphSpec(path_graph(3)), np.zeros(3))
+
+    @pytest.mark.parametrize("build", [path_graph, ring_graph])
+    def test_ideal_graph_state_passes_at_32_nodes(self, build):
+        """An ideal CZ-built graph state on the 32-node path or ring passes,
+        with 31 reported cuts, each bounded by a graph edge at
+        4/sqrt((1+deg i)(1+deg j))."""
+        j = build(32)
+        report = certify(cz_graph_state(j, 1.0), GraphSpec(j), np.zeros(32))
+        assert report.passed
+        assert len(report.bipartitions) == len(report.bounds) == 31
+        edges = np.array(report.bound_pairs) - 1
+        assert np.all(j[edges[:, 0], edges[:, 1]] == 1.0)
+        deg = j.sum(axis=1)
+        expected = 4.0 / np.sqrt((1 + deg[edges[:, 0]]) * (1 + deg[edges[:, 1]]))
+        assert np.allclose(report.bounds, expected, atol=1e-14, rtol=0)
 
     def test_single_node_has_no_cut(self):
         """One node has no pair and no bipartition to certify."""
@@ -433,46 +560,135 @@ def split_propagator(rng, n, sides):
     return s
 
 
+def random_graph(rng, n):
+    """A random adjacency on n nodes, each edge present with probability 1/2."""
+    j = np.triu(rng.integers(0, 2, (n, n)), 1)
+    return (j + j.T).astype(float)
+
+
+def mode_move(labeling):
+    """The passive map that puts node k on mode labeling[k]."""
+    n = len(labeling)
+    move = np.zeros((n, n))
+    move[np.asarray(labeling) - 1, np.arange(n)] = 1.0
+    return np.block([[move, np.zeros((n, n))], [np.zeros((n, n)), move]])
+
+
+def noisy_graph_state(rng, graph):
+    """The CZ-built state of a graph at random squeezing per node, on the
+    modes its labeling assigns, plus random Gaussian noise on the
+    covariance: some certify every cut, some fail on a few or all."""
+    n = graph.n
+    ideal = cz_graph_state(graph.adjacency, rng.uniform(0.0, 1.5, n))
+    s = mode_move(graph.labeling) @ ideal.propagator
+    g = rng.normal(size=(2 * n, 2 * n)) * rng.uniform(0.0, 0.8) / np.sqrt(2 * n)
+    return GaussianState(0.0, s, s @ s.T + g @ g.T)
+
+
+def pt_min(covariance, modes):
+    """Smallest symplectic eigenvalue of the partial transpose across a cut,
+    given the 1-based modes of one side; below 1 only if the state is not
+    PPT across the cut (Simon, PRL 84:2726, 2000)."""
+    n = len(covariance) // 2
+    flip = np.ones(2 * n)
+    flip[n + np.asarray(modes, dtype=int) - 1] = -1.0
+    transposed = covariance * flip[:, None] * flip
+    return np.abs(np.linalg.eigvals(1j * omega(n) @ transposed)).min()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4, 5, 6, 7, 8, "pyramid", "ghz")))
+def test_tree_matches_enumeration(seed, size):
+    """On noisy graph states of random graphs (or the pyramid and GHZ
+    presets, whose pairs are not all their support edges) under random
+    labelings and LO phases, certify agrees with the enumeration over all
+    2^(N-1) - 1 cuts (check_against_oracle). It reports one cut per join,
+    N - 1 on a connected graph, plus one cut without a pair when the graph
+    leaves nodes unjoined."""
+    rng = np.random.default_rng(seed)
+    if isinstance(size, str):
+        graph = GraphSpec(graph_preset(size).adjacency, name=size, labeling=rng.permutation(5) + 1)
+    else:
+        graph = GraphSpec(random_graph(rng, size), labeling=rng.permutation(size) + 1)
+    report = certify(noisy_graph_state(rng, graph), graph, rng.normal(0.0, 0.2, graph.n))
+    check_against_oracle(report, graph)
+    components = connected_components(graph.adjacency)[0]
+    assert len(report.bipartitions) == graph.n - components + (components > 1)
+    assert (() in report.bound_pairs) == (components > 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7))
+def test_certified_cuts_are_npt(seed, n):
+    """Every reported cut whose sum is below its bound has a partial
+    transpose with smallest symplectic eigenvalue below 1, and so does every
+    one of the 2^(N-1) - 1 cuts when the report is inseparable: a state PPT
+    across a cut obeys every pair bound there. This checks the pair bounds
+    without the code that forms them."""
+    rng = np.random.default_rng(seed)
+    graph = GraphSpec(random_graph(rng, n), labeling=rng.permutation(n) + 1)
+    state = noisy_graph_state(rng, graph)
+    report = certify(state, graph, rng.normal(0.0, 0.2, n))
+    for cut, s, b in zip(report.bipartitions, report.bound_sums, report.bounds):
+        if s < b:
+            assert pt_min(state.covariance, cut) < 1.0, cut
+    if report.inseparable:
+        for far in _separable_bounds(graph)[1].astype(bool):
+            assert pt_min(state.covariance, graph.labeling[far]) < 1.0, far
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
 def test_product_states_never_certified(seed, n):
     """On a random graph no cut of a random product of single-mode states,
-    nor of the vacuum, is certified; the bounds come from the rows alone, so LO phases
-    and the labeling leave them unchanged. Vacuum on an isolated edge sits
-    exactly on its bound, hence the roundoff slack."""
+    nor of the vacuum, is certified. Each reported bound is the
+    enumeration's bound of its pair on its cut, and moving the product
+    state with the labeling renames the cuts and keeps the pairs and
+    bounds. Vacuum on an isolated edge sits exactly on its bound, hence
+    the roundoff slack."""
     rng = np.random.default_rng(seed)
-    j = np.triu(rng.integers(0, 2, (n, n)), 1)
-    j = (j + j.T).astype(float)
+    j = random_graph(rng, n)
     perm = rng.permutation(n) + 1
     pairs, far, bounds = _separable_bounds(GraphSpec(j))
     row = {(i + 1, k + 1): m for m, (i, k) in enumerate(pairs.tolist())}
     each_mode = GaussianState.from_propagator(0.0, split_propagator(rng, n, np.arange(n)[:, None]))
     for state in (each_mode, vacuum(n)):
-        base = certify(state, GraphSpec(j), rng.uniform(-np.pi, np.pi, n))
-        moved = certify(state, GraphSpec(j, labeling=perm), rng.uniform(-np.pi, np.pi, n))
-        for report in (base, moved):
-            assert len(report.bipartitions) == 2 ** (n - 1) - 1
+        theta = rng.uniform(-np.pi, np.pi, n)
+        base = certify(state, GraphSpec(j), theta)
+        moved_state = GaussianState.from_propagator(0.0, mode_move(perm) @ state.propagator)
+        moved = certify(moved_state, GraphSpec(j, labeling=perm), theta[np.argsort(perm)])
+        for report, graph in ((base, GraphSpec(j)), (moved, GraphSpec(j, labeling=perm))):
             assert np.all(report.bound_sums >= report.bounds - 1e-12)
-            rows = [row[pair] for pair in report.bound_pairs]
-            assert np.array_equal(report.bounds, bounds[rows, np.arange(len(far))])
-        assert moved.bipartitions == tuple(
-            tuple(sorted(perm[np.array(cut) - 1].tolist())) for cut in base.bipartitions
-        )
+            check_against_oracle(report, graph)
+            for cut, pair, b in zip(report.bipartitions, report.bound_pairs, report.bounds):
+                expected = bounds[row[pair], cut_index(graph, cut)] if pair else 0.0
+                assert b == expected, cut
+        if state is each_mode:
+            # the vacuum ties margins, and roundoff may break the ties
+            # differently once the modes move
+            assert moved.bipartitions == tuple(
+                tuple(sorted(perm[np.array(cut) - 1].tolist())) for cut in base.bipartitions
+            )
+            assert moved.bound_pairs == base.bound_pairs
+            assert np.array_equal(moved.bounds, base.bounds)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
 def test_state_product_across_a_cut_never_certifies_it(seed, n):
     """A state that is a product across a random cut of the nodes never
-    certifies that cut, on a random graph under a random labeling. Two
-    such states: each side a random pure Gaussian state, and the cluster
-    of the graph with its crossing edges removed, whose nullifiers away
-    from the cut are squeezed, so that pairs on one side of the cut sum
-    far below any bound they could have across it."""
+    certifies that cut, on a random graph under a random labeling: the
+    enumeration finds no pair with a positive margin there, and the worst
+    reported margin is no larger than the best of the pairs that bound it
+    (with no such pair, the cut of unjoined nodes fails). Two such
+    states: each side a random pure Gaussian state, and the cluster of the
+    graph with its crossing edges removed, whose nullifiers away from the
+    cut are squeezed, so that pairs on one side of the cut sum far below
+    any bound they could have across it."""
     rng = np.random.default_rng(seed)
-    j = np.triu(rng.integers(0, 2, (n, n)), 1)
-    j = (j + j.T).astype(float)
+    j = random_graph(rng, n)
     labeling = rng.permutation(n) + 1
+    graph = GraphSpec(j, labeling=labeling)
     nodes = rng.permutation(n)
     cut = int(rng.integers(1, n))
     near, far = (nodes[:cut], nodes[cut:]) if 0 in nodes[:cut] else (nodes[cut:], nodes[:cut])
@@ -481,16 +697,19 @@ def test_state_product_across_a_cut_never_certifies_it(seed, n):
     uncut = GraphSpec(j * (on_far[:, None] == on_far[None, :]))
     r = np.full(n, rng.uniform(0.5, 1.5))
     cluster = cluster_transform(uncut).matrix @ np.diag(np.exp(np.concatenate([r, -r])))
-    # node k sits on mode labeling[k]
-    move = np.zeros((n, n))
-    move[labeling - 1, np.arange(n)] = 1.0
-    move = np.block([[move, np.zeros((n, n))], [np.zeros((n, n)), move]])
-    name = tuple(sorted(labeling[far].tolist()))
+    pairs, _, bounds = _separable_bounds(graph)
+    k = cut_index(graph, labeling[far])
     for s, theta in ((split, rng.uniform(-np.pi, np.pi, n)), (cluster, np.zeros(n))):
-        state = GaussianState.from_propagator(0.0, move @ s)
-        report = certify(state, GraphSpec(j, labeling=labeling), theta)
-        k = report.bipartitions.index(name)
-        assert report.bound_sums[k] >= report.bounds[k] - 1e-12
+        state = GaussianState.from_propagator(0.0, mode_move(labeling) @ s)
+        report = certify(state, graph, theta)
+        margins = bounds[:, k] - report.nullifier_variances[pairs].sum(axis=1)
+        assert margins.max() <= 1e-12
+        bounding = bounds[:, k] > 1e-9
+        if bounding.any():
+            assert np.min(report.bounds - report.bound_sums) <= margins[bounding].max() + 1e-12
+        else:
+            assert () in report.bound_pairs
+        check_against_oracle(report, graph)
 
 
 class TestGhzStarEquivalence:

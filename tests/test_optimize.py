@@ -40,6 +40,7 @@ import anwsim
 from anwsim import optimize
 from anwsim.measurement import combination_variance
 from anwsim.optimize import _polish
+from test_entanglement import check_against_oracle
 
 np.random.seed(42)
 
@@ -571,14 +572,16 @@ class TestSynthesizeCluster:
 
     def test_custom_graph_certified_on_every_cut(self):
         """A custom 4-node path is searched and certified from its own
-        nullifier rows, on all 7 bipartitions."""
+        nullifier rows, on the 3 cuts of its edges, as the enumeration over
+        all 7 cuts finds."""
         chain = graph_preset("linear").adjacency[:4, :4]
         syn = synthesize_cluster(
             ArrayConfig(n=4, coupling=0.24, length=30.0), 30.0, GraphSpec(chain, name="chain"),
             seed=41, restarts=1, generations=3, parents=4, population=16,
         )
         assert syn.graph == "chain"
-        assert len(syn.report.bipartitions) == len(syn.report.bounds) == 7
+        assert len(syn.report.bipartitions) == len(syn.report.bounds) == 3
+        check_against_oracle(syn.report, GraphSpec(chain, name="chain"))
         assert np.isclose(syn.total_variance, syn.optimization.fitness, atol=0, rtol=1e-9)
 
     @pytest.mark.parametrize("eta_max", [8.0, 20.0])
