@@ -433,8 +433,7 @@ class TestCertify:
         """A custom 3-node path is certified from its own rows: 2 cuts, each
         bounded by the edge it cuts, as the enumeration over all 3 cuts
         finds, and vacuum is not inseparable."""
-        j = np.zeros((3, 3))
-        j[0, 1] = j[1, 0] = j[1, 2] = j[2, 1] = 1.0
+        j = path_graph(3)
         report = certify(vacuum(3), GraphSpec(j), np.zeros(3))
         assert report.bipartitions == ((2,), (3,))
         assert report.bound_pairs == ((1, 2), (2, 3))
@@ -447,13 +446,9 @@ class TestCertify:
         """An ideal squeezed graph state on a custom 3-node path passes on
         every cut: CZ gates on p-squeezed modes leave each normalized
         nullifier at exp(-2r)/(1 + deg)."""
-        j = np.zeros((3, 3))
-        j[0, 1] = j[1, 0] = j[1, 2] = j[2, 1] = 1.0
+        j = path_graph(3)
         r = 1.0
-        squeeze = np.diag(np.exp([r, r, r, -r, -r, -r]))
-        cz = np.block([[np.eye(3), np.zeros((3, 3))], [j, np.eye(3)]])
-        state = GaussianState.from_propagator(0.0, cz @ squeeze)
-        report = certify(state, GraphSpec(j), np.zeros(3))
+        report = certify(cz_graph_state(j, r), GraphSpec(j), np.zeros(3))
         expected = np.exp(-2 * r) / np.array([2.0, 3.0, 2.0])
         assert np.allclose(report.nullifier_variances, expected, atol=1e-12, rtol=0)
         assert np.allclose(report.bound_sums, expected[0] + expected[1], atol=1e-12, rtol=0)
