@@ -229,6 +229,8 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
             raise ConfigError(
                 "vlf: optimizer.restarts applies only with optimize_pump_phases"
             )
+        if o.target is not None:
+            raise ConfigError("vlf: optimizer.target is not used; the VLF search has no target")
         if not np.allclose(pump.amplitudes, pump.amplitudes[0]):
             raise ConfigError("vlf: optimized runs use a flat pump amplitude")
         seed = o.seed if seed is None else seed
@@ -300,6 +302,8 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 
     if opt.fitness == "FM":
         raise ConfigError("cluster: optimizer.fitness must be 'FC' or 'FP'")
+    if opt.optimize_pump_phases:
+        raise ConfigError("cluster: optimizer.optimize_pump_phases applies only to vlf")
 
     search, tail = None, {}
     restarts = {} if opt.restarts is None else {"restarts": opt.restarts}

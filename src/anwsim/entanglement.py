@@ -17,7 +17,8 @@ presets are the only special cases, and each is stated once here: the
 pyramid's substituted nullifiers, and the GHZ preset, which is the star
 seen through a pi/2 LO shift on every mode but the centre's (its rows and
 search derive from the star's). Every bound derives from the rows. A
-graph keyed by a preset's name must have that preset's adjacency.
+graph keyed by a preset's name must have that preset's adjacency. The
+cluster transform S_C is the target of F_P (``optimize.fitness_FP``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .measurement import QuadratureCombination, quadrature_variances
 from .model import GaussianState
-from .symplectic import bloch_messiah, d_lo, euler_orthogonal
 
 __all__ = [
     "PRESETS",
@@ -44,7 +44,6 @@ __all__ = [
     "nullifiers_for",
     "certify",
     "cluster_transform",
-    "emulation_error",
     "cluster_nullifier_variances",
 ]
 
@@ -261,15 +260,19 @@ def _pair_bounds(graph: GraphSpec, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     no other cut; a pair that breaks this is refused.
     """
     n = graph.n
-    modes = graph.labeling - 1
-    x, p = rows[:, modes], rows[:, n + modes]
+    # (row, x or p, node) coefficients; c is formed only for pairs where one
+    # row's x support meets the other's p support (every other c is 0)
+    xp = rows.reshape(n, 2, n)[:, :, graph.labeling - 1]
+    support = (xp != 0).astype(float)
+    meet = support[:, 0] @ support[:, 1].T
     k = np.arange(n)
-    upper = k[:, None] < k
-    c = (x[:, None] * p - p[:, None] * x)[upper]
-    nonzero = np.abs(c) > 1e-12
+    pairs = np.argwhere((meet + meet.T > 0) & (k[:, None] < k))
+    row_i, row_j = xp[pairs[:, 0]], xp[pairs[:, 1]]
+    c = row_i[:, 0] * row_j[:, 1] - row_i[:, 1] * row_j[:, 0]
+    size = np.abs(c)
+    nonzero = size > 1e-12
     count = nonzero.sum(axis=1)
     ok = ((count == 0) | (count == 2)) & (np.abs(c.sum(axis=1)) <= 1e-12)
-    pairs = np.argwhere(upper)
     if not ok.all():
         first = np.argmin(ok)
         i, j = pairs[first] + 1
@@ -279,7 +282,7 @@ def _pair_bounds(graph: GraphSpec, rows: np.ndarray) -> tuple[np.ndarray, np.nda
         )
     keep = count == 2
     edges = np.nonzero(nonzero[keep])[1].reshape(-1, 2)
-    return pairs[keep], edges, 2.0 * np.abs(c[keep]).sum(axis=1)
+    return pairs[keep], edges, 2.0 * size[keep].sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -410,36 +413,6 @@ def cluster_transform(graph: GraphSpec) -> ClusterTransform:
     w, p = _jj_eigh(graph)
     xs = (p / np.sqrt(w)) @ p.T
     return ClusterTransform(x_block=xs, y_block=graph.adjacency @ xs)
-
-
-def emulation_error(
-    graph: GraphSpec,
-    state: GaussianState,
-    euler: np.ndarray,
-    lo_phases: np.ndarray,
-    post_euler: np.ndarray,
-) -> float:
-    """Frobenius distance between S_LO and a measurable product form.
-
-    S_LO = S_C Obar(euler) R1^T is the orthogonal-symplectic LO-shaping
-    transform that maps the state's covariance to the cluster: R1 is the
-    passive output factor of the state's Bloch-Messiah decomposition, and
-    the Euler angles parametrize the orthogonal freedom of distributing
-    squeezing among the cluster nodes. A fibered detection system
-    realizes Obar_post(post_euler) D_LO(theta): per-mode LO phases
-    followed by orthogonal postprocessing of the photocurrents. A small
-    value certifies that S_LO is implementable by that detection layer.
-    """
-    n = graph.n
-    theta = _lo_phases(n, lo_phases)
-
-    def obar(angles: np.ndarray) -> np.ndarray:
-        o = euler_orthogonal(np.asarray(angles, dtype=float), n)
-        return np.block([[o, np.zeros((n, n))], [np.zeros((n, n)), o]])
-
-    r1 = bloch_messiah(state.propagator).passive_out
-    target = cluster_transform(graph).matrix @ obar(euler) @ r1.T
-    return float(np.linalg.norm(target - obar(post_euler) @ d_lo(theta)))
 
 
 def cluster_nullifier_variances(

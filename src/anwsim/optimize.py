@@ -28,7 +28,6 @@ from .entanglement import (
     certify,
     cluster_nullifier_variances,
     cluster_transform,
-    emulation_error,
     nullifier_rows,
     search_equivalent,
     vlf_values,
@@ -45,7 +44,7 @@ from .model import (
 )
 from .symplectic import (
     _output_unitary,
-    _passive_out,
+    _squeezing_gains,
     _squeezing_product,
     euler_orthogonal,
     orthogonal_to_euler,
@@ -342,11 +341,22 @@ def fitness_FC(
 
 
 def fitness_FP(cfg: ArrayConfig, z: float, graph: GraphSpec, params: np.ndarray) -> float:
-    """Emulation distance over the full parameter vector.
+    """Emulation distance F_P over the full parameter vector.
 
     ``params`` packs (amplitudes, pump phases, mixing Euler angles, LO
     phases, postprocessing Euler angles) with N + N + N(N-1)/2 + N +
     N(N-1)/2 entries.
+
+    F_P = ||S_LO - Obar_post(post) D_LO(theta)||_F is small when a fibered
+    detection layer (per-mode LO phases, then orthogonal postprocessing of
+    the photocurrents) realizes the LO-shaping transform S_LO = S_C
+    Obar(mixing) R1^T, which maps the state's covariance to the cluster;
+    R1 is the state's Bloch-Messiah output factor and the mixing angles
+    distribute the squeezing among the nodes. The quadrature embedding
+    U -> [[Re U, -Im U], [Im U, Re U]] keeps products, scales Frobenius
+    norms by sqrt(2) and maps U_C, O, W_out^H, diag(exp(-i theta)) to S_C,
+    Obar, R1^T, D_LO(theta), so F_P = sqrt(2) ||W - P(post) diag(exp(-i
+    theta))||_F for the W of ``_emulation_unitary``, shared with the search.
     """
     n = cfg.n
     na = n * (n - 1) // 2
@@ -358,7 +368,9 @@ def fitness_FP(cfg: ArrayConfig, z: float, graph: GraphSpec, params: np.ndarray)
     theta = params[2 * n + na : 3 * n + na]
     post = params[3 * n + na :]
     state = propagator_exact(cfg, PumpProfile(amplitudes, phases), z)
-    return emulation_error(graph, state, euler, theta, post)
+    w = _emulation_unitary(cluster_transform(graph).unitary, state.propagator, euler)
+    detection = euler_orthogonal(post, n) * np.exp(-1j * theta)
+    return float(np.sqrt(2.0) * np.linalg.norm(w - detection))
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +736,15 @@ def _split_ties(p: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
         i = j
 
 
+def _emulation_unitary(uc: np.ndarray, s: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    """Complex form W = U_C O W_out^H of S_LO = S_C Obar R1^T (fitness_FP)
+    over a (..., 2N, 2N) stack of propagators and a (..., N(N-1)/2) stack
+    of mixing angles, O = euler_orthogonal(mixing)."""
+    w_out = _output_unitary(_squeezing_product(s))
+    o = euler_orthogonal(mixing, uc.shape[-1])
+    return uc @ o @ np.swapaxes(w_out.conj(), -1, -2)
+
+
 def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """Closest P diag(exp(-i theta)) to a unitary W, with P special orthogonal.
 
@@ -844,8 +865,9 @@ def synthesize_emulation(
     and every folded amplitude is at most eta_max, and the ES winner is
     reported otherwise. So every reported amplitude lies in [0, eta_max].
     The eliminated parameters are reconstructed so the reported vector
-    evaluates to the same F_P through the full fitness. The polish's
-    evaluation count and stop reason are reported with the result.
+    evaluates to the same F_P through fitness_FP, which builds W with the
+    search's kernel (_emulation_unitary). The polish's evaluation count
+    and stop reason are reported with the result.
 
     ``target`` is an early-stop threshold on the summed cluster-basis
     nullifier variances (with every variance also below shot noise).
@@ -871,9 +893,7 @@ def synthesize_emulation(
 
     def reduced(p: np.ndarray) -> np.ndarray | float:
         p = np.asarray(p, dtype=float)
-        w_out = _output_unitary(_squeezing_product(propagators(cfg, *_pump(p), z)))
-        o = euler_orthogonal(p[..., 2 * n :], n)
-        w = uc @ o @ np.swapaxes(w_out.conj(), -1, -2)
+        w = _emulation_unitary(uc, propagators(cfg, *_pump(p), z), p[..., 2 * n :])
         dist = np.sqrt(2.0) * _nearest_phase_rotation(w)[2]
         return float(dist) if p.ndim == 1 else dist
 
@@ -885,9 +905,9 @@ def synthesize_emulation(
     def summarize(p: np.ndarray):
         pump = PumpProfile(*_pump(p))
         state = propagator_exact(cfg, pump, z)
-        gains, w_out = _passive_out(state.propagator)
+        gains = _squeezing_gains(_squeezing_product(state.propagator))
         o = euler_orthogonal(p[2 * n :], n)
-        return pump, state, w_out, o, cluster_nullifier_variances(graph, gains, o)
+        return pump, state, cluster_nullifier_variances(graph, gains, o)
 
     def reached(best: OptimizationResult) -> bool:
         variances = summarize(best.parameters)[-1]
@@ -907,8 +927,8 @@ def synthesize_emulation(
         x, fp = best.parameters, best.fitness
     x = space.wrap(x)
 
-    pump, state, w_out, o, variances = summarize(x)
-    p_opt, theta, _ = _nearest_phase_rotation(uc @ o @ w_out.conj().T)
+    pump, state, variances = summarize(x)
+    p_opt, theta, _ = _nearest_phase_rotation(_emulation_unitary(uc, state.propagator, x[2 * n :]))
     combined = OptimizationResult(
         parameters=x,
         fitness=fp,

@@ -360,6 +360,25 @@ class TestVlf:
         assert run(["vlf", "--config", cfg_path, "--out", str(tmp_path)]) == 1
         assert "restarts applies only with optimize_pump_phases" in capsys.readouterr().err
 
+    def test_rejects_target(self, tmp_path, capsys):
+        """The VLF searches have no target, so a configured one is refused
+        rather than echoed into the record as if it were used."""
+        data = {
+            "array": ARRAY,
+            "pump": {"amplitudes": [0.015] * 5},
+            "optimizer": {
+                "fitness": "FM",
+                "generations": 3,
+                "target": 1.0,
+                "optimize_pump_phases": True,
+            },
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["vlf", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "vlf: optimizer.target is not used" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_optimizer_needs_fm(self, tmp_path, capsys):
         """The vlf command refuses cluster objectives."""
         data = {
@@ -558,6 +577,29 @@ class TestCluster:
         cfg_path = write_config(tmp_path, data)
         assert run(["cluster", "--config", cfg_path, "--out", str(tmp_path)]) == 1
         assert "must be 'FC' or 'FP'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generations", [0, 3])
+    def test_rejects_pump_phase_flag(self, tmp_path, capsys, generations):
+        """The pump-phase flag belongs to the VLF search: the cluster command
+        refuses it, in synthesis and forward mode alike."""
+        data = {
+            "array": ARRAY,
+            "pump": LINEAR_PUMP,
+            "measurement": {"lo_phases_pi": [0.0] * 5},
+            "graph": {"preset": "linear"},
+            "optimizer": {
+                "fitness": "FC",
+                "generations": generations,
+                "optimize_pump_phases": True,
+            },
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["cluster", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "cluster: optimizer.optimize_pump_phases applies only to vlf" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 class TestVerify:

@@ -1,4 +1,6 @@
 """Tests for graph presets, nullifier certification and cluster transforms."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 import anwsim.entanglement
 from anwsim import (
+    ETA_MAX,
     ArrayConfig,
     GaussianState,
     PumpProfile,
@@ -18,8 +21,8 @@ from anwsim import (
     cluster_transform,
     combination_variance,
     d_lo,
-    emulation_error,
     euler_orthogonal,
+    fitness_FP,
     graph_preset,
     nullifier_rows,
     nullifiers_for,
@@ -144,12 +147,21 @@ def check_against_oracle(report, graph):
         assert b - s >= margins[bounding, k].max() - 1e-12, cut
 
 
+def obar(euler, n):
+    """Quadrature form diag(O, O) of the orthogonal O = euler_orthogonal(euler)."""
+    o = euler_orthogonal(euler, n)
+    return np.block([[o, np.zeros((n, n))], [np.zeros((n, n)), o]])
+
+
 def s_lo(graph, state, euler):
     """LO-shaping transform S_C Obar(euler) R1^T, built from its factors."""
-    o = euler_orthogonal(euler, 5)
-    obar = np.block([[o, np.zeros((5, 5))], [np.zeros((5, 5)), o]])
     r1 = bloch_messiah(state.propagator).passive_out
-    return cluster_transform(graph).matrix @ obar @ r1.T
+    return cluster_transform(graph).matrix @ obar(euler, graph.n) @ r1.T
+
+
+def direct_fp(graph, state, euler, theta, post):
+    """F_P = ||S_LO - Obar_post D_LO(theta)||_F from the 2N x 2N real factors."""
+    return np.linalg.norm(s_lo(graph, state, euler) - obar(post, graph.n) @ d_lo(theta))
 
 
 @pytest.fixture
@@ -495,6 +507,22 @@ class TestCertify:
         expected = 4.0 / np.sqrt((1 + deg[edges[:, 0]]) * (1 + deg[edges[:, 1]]))
         assert np.allclose(report.bounds, expected, atol=1e-14, rtol=0)
 
+    def test_ideal_path_at_128_nodes_peaks_under_8_mb(self):
+        """Each pair's c is formed only where one row's x support meets the
+        other's p support, so certify's memory grows as N^2 on a path: one
+        call on an ideal 128-node path state peaks under 8 MB (a dense
+        (N, N, N) array of c alone takes 16.8 MB)."""
+        j = path_graph(128)
+        state, graph = cz_graph_state(j, 1.0), GraphSpec(j)
+        tracemalloc.start()
+        try:
+            report = certify(state, graph, np.zeros(128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8e6
+
     def test_single_node_has_no_cut(self):
         """One node has no pair and no bipartition to certify."""
         report = certify(vacuum(1), GraphSpec(np.zeros((1, 1))), np.zeros(1))
@@ -808,31 +836,53 @@ class TestSLo:
         assert np.allclose(m @ m.T, np.eye(10), atol=1e-10, rtol=0)
         assert np.allclose(m @ omega(5) @ m.T, omega(5), atol=1e-10, rtol=0)
 
-    def test_emulation_error_matches_direct_norm(self, linear_state):
-        """emulation_error equals the Frobenius distance computed by hand."""
+    def test_fitness_fp_matches_direct_norm(self, cfg5, linear_state):
+        """fitness_FP equals the Frobenius distance computed by hand."""
         rng = np.random.default_rng(6)
         euler = rng.uniform(-np.pi, np.pi, 10)
         theta = rng.uniform(-np.pi, np.pi, 5)
         post = rng.uniform(-np.pi, np.pi, 10)
         g = graph_preset("star")
-        o_post = euler_orthogonal(post, 5)
-        obar = np.block(
-            [[o_post, np.zeros((5, 5))], [np.zeros((5, 5)), o_post]]
+        params = np.concatenate(
+            [LINEAR_PUMP.amplitudes, LINEAR_PUMP.phases, euler, theta, post]
         )
-        direct = np.linalg.norm(s_lo(g, linear_state, euler) - obar @ d_lo(theta))
         assert np.isclose(
-            emulation_error(g, linear_state, euler, theta, post),
-            direct,
+            fitness_FP(cfg5, 30.0, g, params),
+            direct_fp(g, linear_state, euler, theta, post),
             atol=1e-12,
             rtol=0,
         )
 
-    def test_lo_phase_validation(self, linear_state):
-        """The LO phase vector must match the node count."""
-        with pytest.raises(ValueError, match="need 5 LO phases"):
-            emulation_error(
-                graph_preset("star"), linear_state, np.zeros(10), np.zeros(4), np.zeros(10)
-            )
+    def test_lo_phase_validation(self, cfg5):
+        """The LO phase block must match the node count: a vector one LO
+        phase short has the wrong length."""
+        params = np.zeros(5 + 5 + 10 + 4 + 10)
+        with pytest.raises(ValueError, match="expected 35 parameters"):
+            fitness_FP(cfg5, 30.0, graph_preset("star"), params)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_fitness_fp_matches_direct_norm_on_paths(self, n, seed):
+        """On n-node path graphs, at random pumps inside ETA_MAX and random
+        mixing, LO and postprocessing angles, fitness_FP equals the real
+        2N x 2N distance built from bloch_messiah and np.block. Every
+        factor is orthogonal, so each entry carries a few n ulps and the
+        norm is at most 2 sqrt(2n) < 7: 1e-12 is a roundoff bound."""
+        rng = np.random.default_rng(seed)
+        na = n * (n - 1) // 2
+        cfg = ArrayConfig(n, 0.24, 30.0)
+        pump = PumpProfile(rng.uniform(0.0, ETA_MAX, n), rng.uniform(-np.pi, np.pi, n))
+        euler, post = rng.uniform(-np.pi, np.pi, (2, na))
+        theta = rng.uniform(-np.pi, np.pi, n)
+        g = GraphSpec(path_graph(n))
+        params = np.concatenate([pump.amplitudes, pump.phases, euler, theta, post])
+        state = propagator_exact(cfg, pump, 30.0)
+        assert np.isclose(
+            fitness_FP(cfg, 30.0, g, params),
+            direct_fp(g, state, euler, theta, post),
+            atol=1e-12,
+            rtol=0,
+        )
 
 
 class TestClusterNullifierVariances:
