@@ -231,6 +231,10 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
             )
         if o.target is not None:
             raise ConfigError("vlf: optimizer.target is not used; the VLF search has no target")
+        if o.eta_max is not None:
+            raise ConfigError(
+                "vlf: optimizer.eta_max is not used; the VLF searches keep the pump amplitude"
+            )
         if not np.allclose(pump.amplitudes, pump.amplitudes[0]):
             raise ConfigError("vlf: optimized runs use a flat pump amplitude")
         seed = o.seed if seed is None else seed
@@ -245,7 +249,7 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 optimize_pump_phases=o.optimize_pump_phases,
                 seed=seed,
                 generations=o.generations,
-                sigma0=o.sigma0,
+                sigma0=0.3 if o.sigma0 is None else o.sigma0,
                 population=o.population,
                 parents=o.parents,
                 **restarts,
@@ -304,9 +308,15 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         raise ConfigError("cluster: optimizer.fitness must be 'FC' or 'FP'")
     if opt.optimize_pump_phases:
         raise ConfigError("cluster: optimizer.optimize_pump_phases applies only to vlf")
+    if opt.sigma0 is not None:
+        raise ConfigError(
+            "cluster: optimizer.sigma0 is not used; the cluster searches use fixed step sizes"
+        )
 
     search, tail = None, {}
-    restarts = {} if opt.restarts is None else {"restarts": opt.restarts}
+    # an unset key leaves the driver's default
+    given = {"restarts": opt.restarts, "eta_max": opt.eta_max}
+    given = {k: v for k, v in given.items() if v is not None}
     if opt.generations == 0:
         # forward evaluation at the configured pump and detection setting
         scn.require("pump", "measurement")
@@ -330,9 +340,8 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
             generations=opt.generations,
             parents=opt.parents,
             population=opt.population,
-            eta_max=opt.eta_max,
             target=opt.target,
-            **restarts,
+            **given,
         )
         if opt.fitness == "FC":
             fields = {

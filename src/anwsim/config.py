@@ -21,7 +21,6 @@ import numpy as np
 
 from .entanglement import PRESETS, GraphSpec, graph_preset
 from .model import ArrayConfig, PumpProfile
-from .optimize import ETA_MAX
 
 __all__ = [
     "ConfigError",
@@ -285,8 +284,8 @@ class OptimizerSection(_Section):
     parents: int = _key(_integer, 5)
     generations: int = _key(_integer, 100)
     seed: int = _key(_integer, 0)
-    sigma0: float = _key(_positive, 0.3)
-    eta_max: float = _key(_positive, ETA_MAX)
+    sigma0: float | None = _key(_positive, None)
+    eta_max: float | None = _key(_positive, None)
     restarts: int | None = _key(_integer, None)
     target: float | None = _key(_number, None)
     optimize_pump_phases: bool = _key(_flag, False)

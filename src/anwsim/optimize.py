@@ -73,9 +73,12 @@ __all__ = [
 
 ETA_MAX = 0.1  # pump amplitude search ceiling, mm^-1
 GAIN_LIMIT = 10.0  # postprocessing gain search range
-# polar sweeps of the nearest-phase-rotation solve: cap and stopping gain
+# sweeps of the nearest-phase-rotation solve: cap and stopping gain
 _POLAR_SWEEPS = 200
 _POLAR_TOL = 1e-14
+# longest Newton step in any angle, rad: beyond it the quadratic model is
+# not trusted and the plain alternating step is taken
+_NEWTON_RADIUS = 0.25
 # multi-directional search polish of F_P: evaluation budget and simplex size
 # at which it has converged
 _POLISH_EVALS = 8000
@@ -696,17 +699,6 @@ class EmulationSynthesis:
         )
 
 
-def _polar_so(a: np.ndarray) -> np.ndarray:
-    """Nearest special-orthogonal matrices in Frobenius norm, over a stack."""
-    u, _, vt = np.linalg.svd(a)
-    uv = u @ vt
-    flip = np.linalg.det(uv) < 0
-    if np.count_nonzero(flip):
-        u[flip, :, -1] *= -1.0
-        uv[flip] = u[flip] @ vt[flip]
-    return uv
-
-
 def _frobenius(d: np.ndarray) -> np.ndarray:
     """Frobenius norms of a (m, N, N) complex stack, each summed in the
     order np.linalg.norm sums one matrix (a row's bits match its slice)."""
@@ -717,7 +709,7 @@ def _frobenius(d: np.ndarray) -> np.ndarray:
 
 def _phase_match(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Optimal theta for fixed P over a stack: minus the phases of diag(P^T W)."""
-    d = (p.transpose(0, 2, 1) @ w).diagonal(0, 1, 2)
+    d = np.vecdot(p, w, axis=-2)
     return -np.arctan2(d.imag, d.real)
 
 
@@ -748,13 +740,29 @@ def _emulation_unitary(uc: np.ndarray, s: np.ndarray, mixing: np.ndarray) -> np.
 def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """Closest P diag(exp(-i theta)) to a unitary W, with P special orthogonal.
 
-    Seeded from the joint eigenbasis of the commuting real and imaginary
-    parts of W W^T, then refined by alternating the closed-form optimum in
-    P (polar projection) and in theta (per-column phase match). A
-    (..., N, N) stack is solved as one: each sweep is one batched SVD over
-    the rows still improving, and every row stops on its own gain test or
-    after _POLAR_SWEEPS sweeps. Returns (P, theta, distance), stacked
-    like W; a single (N, N) matrix gives a float distance.
+    For fixed theta the best P is the special-orthogonal polar factor of
+    A(theta) = Re(W diag(exp(i theta))), and the squared distance is
+    2N - 2 F(theta), where F sums A's singular values with the last one
+    negated when det A < 0. For fixed P the best theta is minus the
+    phases of diag(P^T W). The solve starts from the joint eigenbasis of
+    the commuting real and imaginary parts of W W^T. Each sweep takes one
+    SVD of A at the row's current angles and phase-matches its polar
+    factor; the first two sweeps alternate these two closed forms. From
+    then on a row takes Newton steps on F in theta, with the gradient and
+    Hessian of the same SVD (_gradient_hessian).
+
+    Safeguards: a Newton step is taken only where the Hessian is finite
+    and negative definite and no angle moves by more than _NEWTON_RADIUS,
+    and its point is kept only if its phase-matched distance is no larger
+    than the row's best; otherwise the row takes the plain alternating
+    step from its best point. A row stops when a plain step gains less
+    than _POLAR_TOL, when its Newton step predicts a gain
+    (1/2) g^T delta / d below _POLAR_TOL, or after _POLAR_SWEEPS sweeps.
+
+    A (..., N, N) stack is solved as one: each sweep is one batched SVD
+    over the rows still running, and each row ends as its single-matrix
+    solve does. Returns (P, theta, distance) at each row's best point,
+    stacked like W; a single (N, N) matrix gives a float distance.
     """
     w = np.asarray(w)
     lead = w.shape[:-2]
@@ -765,31 +773,100 @@ def _nearest_phase_rotation(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         _split_ties(p[k], vals[k], z[k].imag)
     p[np.linalg.det(p) < 0, :, -1] *= -1.0
     theta = _phase_match(p, w)
-    # the sweeps run on the rows still improving; a row is written back
-    # when it stops, on its gain test or at the cap; exp(i theta) is taken
-    # once per sweep, for the distance (conjugated) and the next polar step
     dist = np.full(len(w), np.inf)
-    rows, wa, ta, ea, prev = np.arange(len(w)), w, theta, np.exp(1j * theta), dist
-    for sweep in range(_POLAR_SWEEPS):
-        pa = _polar_so((wa * ea[:, None, :]).real)
-        ta = _phase_match(pa, wa)
-        ea = np.exp(1j * ta)
-        da = _frobenius(wa - pa * ea.conj()[:, None, :])
-        done = (prev - da < _POLAR_TOL) | (sweep == _POLAR_SWEEPS - 1)
-        if np.count_nonzero(done):
-            k = rows[done]
-            p[k], theta[k], dist[k] = pa[done], ta[done], da[done]
-            keep = ~done
-            rows, wa, ta, ea, da = rows[keep], wa[keep], ta[keep], ea[keep], da[keep]
-            if not rows.size:
-                break
-        prev = da
+    # the running rows: W, the angles of the next SVD, whether they came
+    # from a Newton step, and the best point so far (its polar factor,
+    # phase-matched angles and distance); a row is written back when it stops
+    rows, wa, ta, newton = np.arange(len(w)), w, theta, np.zeros(len(w), dtype=bool)
+    bp, bt, bd = p, theta, dist
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(_POLAR_SWEEPS):
+            m = wa * np.exp(1j * ta)[:, None, :]
+            u, s, vt = np.linalg.svd(m.real)
+            pa = u @ vt
+            flip = np.linalg.det(pa) < 0
+            if np.count_nonzero(flip):
+                u[flip, :, -1] *= -1.0
+                s[flip, -1] *= -1.0
+                pa[flip] = u[flip] @ vt[flip]
+            tm = _phase_match(pa, wa)
+            da = _frobenius(wa - pa * np.exp(-1j * tm)[:, None, :])
+            gain = bd - da
+            kept = ~(gain < 0.0)
+            if kept.all():
+                bp, bt, bd = pa, tm, da
+            else:
+                bp = np.where(kept[:, None, None], pa, bp)
+                bt = np.where(kept[:, None], tm, bt)
+                bd = np.where(kept, da, bd)
+            stop = ~newton & (gain < _POLAR_TOL)
+            nxt = bt
+            if sweep:
+                step, rise = _newton_step(*_gradient_hessian(m, pa, u, s, vt))
+                newton = kept & ~stop & ~np.isnan(rise)
+                stop |= newton & (rise <= _POLAR_TOL * da)
+                nxt = np.where(newton[:, None], ta + step, bt)
+            if sweep == _POLAR_SWEEPS - 1:
+                stop[:] = True
+            if np.count_nonzero(stop):
+                k = rows[stop]
+                p[k], theta[k], dist[k] = bp[stop], bt[stop], bd[stop]
+                keep = ~stop
+                if not np.count_nonzero(keep):
+                    break
+                rows, wa, nxt, newton = rows[keep], wa[keep], nxt[keep], newton[keep]
+                bp, bt, bd = bp[keep], bt[keep], bd[keep]
+            ta = nxt
     dist = dist.reshape(lead)
     return (
         p.reshape(lead + p.shape[-2:]),
         theta.reshape(lead + theta.shape[-1:]),
         float(dist) if dist.ndim == 0 else dist,
     )
+
+
+def _gradient_hessian(
+    m: np.ndarray, p: np.ndarray, u: np.ndarray, s: np.ndarray, vt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of F(theta) over a stack, from a sweep's SVD.
+
+    m = W diag(exp(i theta)) and A = Re m = U diag(s) V^T, with the sign
+    of the last singular value folded into s and U so that P = U V^T is
+    special orthogonal. Column k of A moves only with theta_k, as
+    b_k = -Im m_k, so the gradient is g_k = p_k . b_k. The Hessian is
+    H_jk = sum_il Omega(j)_il V_kl c_ik - delta_jk p_k . a_k, where c = U^T B
+    and Omega(j) = U^T (dP/dtheta_j) V has the entries
+    (c_ij V_jl - c_lj V_ji) / (s_i + s_l) (the polar factor's derivative,
+    Higham, Functions of Matrices, SIAM 2008, ch. 8).
+    """
+    n = m.shape[-1]
+    # with K(j) = Omega(j) * (s_i + s_l), the first term is
+    # (1/2) sum_il K(j)_il K(k)_il / (s_i + s_l), quadratic in c, so the
+    # sign of B may be dropped there
+    c = u.transpose(0, 2, 1) @ m.imag
+    x = c[:, :, None, :] * vt[:, None, :, :]
+    k = (x - x.transpose(0, 2, 1, 3)).reshape(len(m), -1, n)
+    t = 0.5 / (s[:, :, None] + s[:, None, :])
+    h = (k.transpose(0, 2, 1) * t.reshape(len(m), 1, -1)) @ k
+    h.reshape(len(m), -1)[:, :: n + 1] -= np.vecdot(p, m.real, axis=-2)
+    return -np.vecdot(p, m.imag, axis=-2), h
+
+
+def _newton_step(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton step delta = -H^{-1} g over a stack and the rise (1/2) g^T delta
+    of F it predicts; the rise is nan where H is not finite and negative
+    definite or the step moves an angle by more than _NEWTON_RADIUS. h is
+    overwritten."""
+    bad = ~np.isfinite(h).all(axis=(1, 2))
+    if np.count_nonzero(bad):
+        h[bad] = np.eye(h.shape[-1])
+    bad = ~(np.linalg.eigvalsh(h)[:, -1] < 0.0)
+    if np.count_nonzero(bad):
+        h[bad] = np.eye(h.shape[-1])
+    step = np.linalg.solve(h, -g[:, :, None])[:, :, 0]
+    rise = 0.5 * np.vecdot(g, step)
+    rise[bad | ~(np.abs(step).max(axis=1) <= _NEWTON_RADIUS)] = np.nan
+    return step, rise
 
 
 def _polish(

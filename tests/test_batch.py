@@ -29,7 +29,12 @@ from anwsim import (
     unitary_to_symplectic,
     vlf_problem,
 )
-from anwsim.optimize import _nearest_phase_rotation, _wrap_angle
+from anwsim.optimize import (
+    _gradient_hessian,
+    _nearest_phase_rotation,
+    _split_ties,
+    _wrap_angle,
+)
 from anwsim.symplectic import _passive_out, _takagi
 
 CFG = ArrayConfig(n=5, coupling=0.24, length=30.0)
@@ -154,16 +159,19 @@ def reduced_fp(preset):
     raise AssertionError("synthesize_emulation did not call evolve")
 
 
-def fp_per_row(preset, p):
-    """The per-row reduced F_P: Bloch-Messiah R1, Euler mixing, one
-    single-matrix phase-rotation solve."""
+def fp_unitary(preset, p):
+    """W of one reduced F_P vector: Bloch-Messiah R1 and Euler mixing."""
     amp = p[:5]
     phases = _wrap_angle(p[5:10] + np.where(amp < 0, np.pi, 0.0))
     state = propagator_exact(CFG, PumpProfile(np.abs(amp), phases), Z)
     r1 = bloch_messiah(state.propagator).passive_out
     u1 = r1[:5, :5] + 1j * r1[5:, :5]
-    w = cluster_transform(graph_preset(preset)).unitary @ euler_orthogonal(p[10:], 5) @ u1.conj().T
-    return np.sqrt(2.0) * _nearest_phase_rotation(w)[2]
+    return cluster_transform(graph_preset(preset)).unitary @ euler_orthogonal(p[10:], 5) @ u1.conj().T
+
+
+def fp_per_row(preset, p):
+    """The per-row reduced F_P: one single-matrix phase-rotation solve."""
+    return np.sqrt(2.0) * _nearest_phase_rotation(fp_unitary(preset, p))[2]
 
 
 def fp_points(rng, m):
@@ -198,7 +206,8 @@ def test_fp_single_vector_gives_float():
 
 
 def cap_row():
-    """A unitary whose polar sweeps run into the _POLAR_SWEEPS cap."""
+    """A unitary on which the alternating sweeps alone run into their
+    200-sweep cap."""
     rng = np.random.default_rng(94)
     amp, phases = rng.uniform(0.0, 2.0 / Z, 5), rng.uniform(-np.pi, np.pi, 5)
     r1 = bloch_messiah(propagator_exact(CFG, PumpProfile(amp, phases), Z).propagator).passive_out
@@ -207,14 +216,22 @@ def cap_row():
     return cluster_transform(graph_preset("pentagon")).unitary @ o @ u1.conj().T
 
 
+def random_unitaries(rng, m, n):
+    """m Haar-random n x n unitaries."""
+    q, r = np.linalg.qr(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+    d = np.diagonal(r, 0, 1, 2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def test_phase_rotation_stack_equals_slices(monkeypatch):
     """A stack mixing a sweep-capped row, a degenerate (real orthogonal) row
-    and fast rows solves each row as the single-matrix call does."""
+    and fast rows solves each row as the single-matrix call does. The cap
+    is lowered to 5 sweeps, which cuts cap_row short."""
     w_cap = cap_row()
-    capped = _nearest_phase_rotation(w_cap)
-    monkeypatch.setattr(optimize, "_POLAR_SWEEPS", optimize._POLAR_SWEEPS - 1)
-    assert _nearest_phase_rotation(w_cap)[2] != capped[2], "row no longer hits the cap"
-    monkeypatch.undo()
+    monkeypatch.setattr(optimize, "_POLAR_SWEEPS", 6)
+    uncut = _nearest_phase_rotation(w_cap)[2]
+    monkeypatch.setattr(optimize, "_POLAR_SWEEPS", 5)
+    assert _nearest_phase_rotation(w_cap)[2] != uncut, "row no longer hits the cap"
 
     rng = np.random.default_rng(1)
     fast = [np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
@@ -229,16 +246,123 @@ def test_phase_rotation_stack_equals_slices(monkeypatch):
         assert np.array_equal(p[k], pk) and np.array_equal(theta[k], tk) and dist[k] == dk
 
 
+def test_phase_rotation_cap_row_converges_within_twenty_sweeps(monkeypatch):
+    """The tail stays cut: the row the alternation ran to its 200-sweep cap
+    reaches its uncapped distance within 20 sweeps."""
+    w_cap = cap_row()
+    uncapped = _nearest_phase_rotation(w_cap)[2]
+    monkeypatch.setattr(optimize, "_POLAR_SWEEPS", 20)
+    assert _nearest_phase_rotation(w_cap)[2] == uncapped
+
+
 @settings(deadline=None, max_examples=40)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 7))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
 def test_phase_rotation_recovers_product_form(seed, n):
-    """W = P diag(exp(-i theta)) with P special orthogonal is at distance 0."""
+    """W = P diag(exp(-i theta)) with P special orthogonal is at distance 0
+    (a single phase, at N = 1)."""
     rng = np.random.default_rng(seed)
     p = euler_orthogonal(rng.uniform(-np.pi, np.pi, n * (n - 1) // 2), n)
     w = p * np.exp(-1j * rng.uniform(-np.pi, np.pi, n))[None, :]
     p_fit, _, dist = _nearest_phase_rotation(w)
     assert dist < 1e-12
     assert np.isclose(np.linalg.det(p_fit), 1.0, atol=1e-12, rtol=0)
+
+
+def alternation_oracle(w):
+    """Distances of the plain alternating solve, one row at a time: from the
+    solver's eigenbasis seed, the special-orthogonal polar factor of
+    Re(W diag(exp(i theta))) and the phase match in turn, until a sweep
+    gains less than 1e-14. A row still gaining after 200 sweeps has not
+    reached an optimum to compare with and gives inf."""
+    w = np.asarray(w)
+    out = []
+    for wk in w.reshape((-1,) + w.shape[-2:]):
+        z = wk @ wk.T
+        vals, p = np.linalg.eigh(z.real)
+        _split_ties(p, vals, z.imag)
+        if np.linalg.det(p) < 0:
+            p[:, -1] *= -1.0
+        theta, prev = -np.angle(np.diag(p.T @ wk)), np.inf
+        for _ in range(200):
+            u, _, vt = np.linalg.svd((wk * np.exp(1j * theta)).real)
+            if np.linalg.det(u @ vt) < 0:
+                u[:, -1] *= -1.0
+            p = u @ vt
+            theta = -np.angle(np.diag(p.T @ wk))
+            dist = np.linalg.norm(wk - p * np.exp(-1j * theta))
+            if prev - dist < 1e-14:
+                break
+            prev = dist
+        else:
+            dist = np.inf
+        out.append(dist)
+    return np.reshape(out, w.shape[:-2])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 6))
+def test_phase_rotation_no_worse_than_alternation(seed, n, m):
+    """On random unitaries the Newton-refined solve ends no farther than the
+    alternation it refines, up to a relative 1e-12."""
+    w = random_unitaries(np.random.default_rng(seed), m, n)
+    dist = _nearest_phase_rotation(w)[2]
+    assert np.all(dist <= alternation_oracle(w) * (1.0 + 1e-12))
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PRESETS))
+def test_phase_rotation_no_worse_than_alternation_on_fp_rows(seed, preset):
+    """The same on random reduced-F_P rows of each preset, the unitaries the
+    emulation search solves."""
+    w = np.stack([fp_unitary(preset, row) for row in fp_points(np.random.default_rng(seed), 8)])
+    dist = _nearest_phase_rotation(w)[2]
+    assert np.all(dist <= alternation_oracle(w) * (1.0 + 1e-12))
+
+
+def signed_singular_sum(w, theta):
+    """F(theta): the singular values of Re(W diag(exp(i theta))), the last
+    one negated when the determinant is negative."""
+    a = (w * np.exp(1j * theta)).real
+    s = np.linalg.svd(a, compute_uv=False)
+    if np.linalg.det(a) < 0:
+        s[-1] = -s[-1]
+    return s.sum()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7))
+def test_gradient_hessian_match_central_differences(seed, n):
+    """The solver's gradient and Hessian of F match central differences of
+    F at points of random unitaries where every pair of signed singular
+    values sums to at least 0.1, so F is smooth there. Steps 1e-6 and 1e-4;
+    bounds 2e-8 and 3e-5, 10x the worst differences over 5000 such points
+    (1.8e-9 and 3.0e-6: truncation and roundoff of the differences)."""
+    rng = np.random.default_rng(seed)
+    w = random_unitaries(rng, 1, n)[0]
+    while True:
+        theta = rng.uniform(-np.pi, np.pi, n)
+        m = (w * np.exp(1j * theta))[None]
+        u, s, vt = np.linalg.svd(m.real)
+        if np.linalg.det(u[0] @ vt[0]) < 0:
+            u[0, :, -1] *= -1.0
+            s[0, -1] *= -1.0
+        if s[0, -2] + s[0, -1] >= 0.1:
+            break
+    g, h = _gradient_hessian(m, u @ vt, u, s, vt)
+    e = np.eye(n)
+    f = lambda x: signed_singular_sum(w, theta + x)  # noqa: E731
+    hg, hh = 1e-6, 1e-4
+    fd_g = [(f(hg * e[j]) - f(-hg * e[j])) / (2 * hg) for j in range(n)]
+    fd_h = [
+        [
+            (f(hh * (e[j] + e[k])) - f(hh * (e[j] - e[k])) - f(hh * (e[k] - e[j]))
+             + f(-hh * (e[j] + e[k]))) / (4 * hh * hh)
+            for k in range(n)
+        ]
+        for j in range(n)
+    ]
+    assert np.abs(g[0] - fd_g).max() <= 2e-8
+    assert np.abs(h[0] - fd_h).max() <= 3e-5
 
 
 def symmetric_stack(rng, m, n):

@@ -379,6 +379,20 @@ class TestVlf:
         assert "vlf: optimizer.target is not used" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rejects_eta_max(self, tmp_path, capsys):
+        """The VLF searches keep the configured pump amplitude, so an explicit
+        pump ceiling is refused rather than echoed into the record."""
+        data = {
+            "array": ARRAY,
+            "pump": {"amplitudes": [0.015] * 5},
+            "optimizer": {"fitness": "FM", "generations": 3, "eta_max": 0.05},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["vlf", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "vlf: optimizer.eta_max is not used" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_optimizer_needs_fm(self, tmp_path, capsys):
         """The vlf command refuses cluster objectives."""
         data = {
@@ -599,6 +613,23 @@ class TestCluster:
         assert "cluster: optimizer.optimize_pump_phases applies only to vlf" in (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generations", [0, 3])
+    def test_rejects_sigma0(self, tmp_path, capsys, generations):
+        """The cluster searches use fixed step sizes, so an explicit sigma0 is
+        refused, in synthesis and forward mode alike."""
+        data = {
+            "array": ARRAY,
+            "pump": LINEAR_PUMP,
+            "measurement": {"lo_phases_pi": [0.0] * 5},
+            "graph": {"preset": "linear"},
+            "optimizer": {"fitness": "FC", "generations": generations, "sigma0": 0.3},
+        }
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["cluster", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "cluster: optimizer.sigma0 is not used" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 """Tests for scenario-file parsing and validation."""
+import inspect
 import json
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anwsim import ETA_MAX, ArrayConfig
+from anwsim import ETA_MAX, ArrayConfig, synthesize_cluster, synthesize_emulation
 from anwsim.config import (
     ArraySection,
     ConfigError,
@@ -198,9 +199,12 @@ class TestOptimizerSection:
         assert not section.optimize_pump_phases
 
     def test_eta_max_defaults_to_search_ceiling(self):
-        """The pump ceiling has one home, optimize.ETA_MAX, parsed or not."""
-        assert OptimizerSection.from_dict({"fitness": "FC"}).eta_max == ETA_MAX
-        assert OptimizerSection(fitness="FC").eta_max == ETA_MAX
+        """The pump ceiling has one home, optimize.ETA_MAX: an unset eta_max
+        stays None, parsed or not, and the synthesis drivers fill it in."""
+        assert OptimizerSection.from_dict({"fitness": "FC"}).eta_max is None
+        assert OptimizerSection(fitness="FC").eta_max is None
+        for driver in (synthesize_cluster, synthesize_emulation):
+            assert inspect.signature(driver).parameters["eta_max"].default == ETA_MAX
 
     def test_fitness_required(self):
         """The block must say which objective to run."""
@@ -452,7 +456,7 @@ class TestEcho:
                 '"measurement": {"lo_phases_pi": [0.0, 0.0, 0.0, 0.0, 0.0]}, '
                 '"graph": {"preset": "linear"}, '
                 '"optimizer": {"fitness": "FC", "population": 40, "parents": 5, '
-                '"generations": 100, "seed": 41, "sigma0": 0.3, "eta_max": 0.1, "restarts": 5}, '
+                '"generations": 100, "seed": 41, "restarts": 5}, '
                 '"sweep": {"variable": "z", "values": [0.0, 0.5, 1.0, 1.5, 2.0]}, '
                 '"output": {"directory": "out", "format": "csv"}}',
             ),
@@ -478,7 +482,7 @@ class TestEcho:
                 },
                 '{"array": {"n": 5, "coupling": 0.24, "length": 30.0}, '
                 '"optimizer": {"fitness": "FM", "population": 40, "parents": 5, '
-                '"generations": 100, "seed": 0, "sigma0": 0.2, "eta_max": 0.1, '
+                '"generations": 100, "seed": 0, "sigma0": 0.2, '
                 '"restarts": 3, "target": 1.5, "optimize_pump_phases": true}, '
                 '"output": {"directory": ".", "format": "json"}}',
             ),
