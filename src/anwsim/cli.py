@@ -1,13 +1,18 @@
 """Command-line interface: scenario runners and result persistence.
 
 Subcommands: supermodes | propagate | vlf | cluster | verify | oracle-check.
-Every run writes a self-contained JSON record (the echoed configuration
-plus all computed metrics, versions and the seed), and optionally a
-plot-ready CSV with a z_mm first column. The record puts dict keys one
-per line, a list of scalars on one line and a table one row per line;
-its table cells are the CSV's strings (shortest round-trip repr), so
-both files carry the same digits. Runs are deterministic given
-the config and seed; a sweep is evaluated in process as one stack of
+One table (``_READS``) lists, for each command and mode, the sections it
+requires, the optional sections it reads and the keys it reads in each.
+A key given in a section the mode reads but not read by it is refused,
+as is a required section left out; a section the mode does not read is
+accepted and ignored. Every run writes a self-contained JSON record (the
+configuration the command read, all computed metrics, versions and the
+seed), and optionally a plot-ready CSV with a z_mm first column. The
+record puts dict keys one per line, a list of scalars on one line and a
+table one row per line; its table cells are the CSV's strings (shortest
+round-trip repr), so both files carry the same digits. Runs are
+deterministic given the config and seed, so rerunning a record's config
+gives its results again; a sweep is evaluated in process as one stack of
 propagators over its grid.
 
 Exit codes: 0 on success, 2 when a verify run fails certification,
@@ -135,10 +140,107 @@ def _report_dict(report: CertificationReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# what each command reads
+
+_PUMP = ("amplitudes", "phases_pi")
+_MEASUREMENT = ("lo_phases_pi", "gains")
+_GRAPH = ("preset", "adjacency", "name", "labeling")
+_SWEEP = ("variable", "values")
+_ES = ("fitness", "population", "parents", "generations", "seed")
+_VLF_SEARCH = _ES + ("sigma0", "optimize_pump_phases")
+_SYNTHESIS = _ES + ("restarts", "eta_max", "target")
+
+# (command, mode) -> (required sections, optional sections), each section
+# with the keys the mode reads in it. Every mode also reads all of array
+# and output; each schema-required key is listed wherever its section is.
+_READS: dict[tuple[str, str | None], tuple[dict, dict]] = {
+    ("supermodes", None): ({}, {}),
+    ("propagate", None): ({"pump": _PUMP}, {"sweep": _SWEEP}),
+    ("vlf", "fixed detection"): ({"pump": _PUMP, "measurement": _MEASUREMENT}, {"sweep": _SWEEP}),
+    ("vlf", "search"): ({"pump": ("amplitudes",), "optimizer": _VLF_SEARCH}, {"sweep": _SWEEP}),
+    ("vlf", "search with pump phases"): (
+        {"pump": ("amplitudes",), "optimizer": _VLF_SEARCH + ("restarts",)},
+        {"sweep": _SWEEP},
+    ),
+    ("cluster", "forward"): (
+        {"pump": _PUMP, "measurement": _MEASUREMENT, "graph": _GRAPH,
+         "optimizer": ("fitness", "generations")},
+        {},
+    ),
+    ("cluster", "F_C"): ({"graph": _GRAPH, "optimizer": _SYNTHESIS}, {}),
+    ("cluster", "F_P"): ({"graph": _GRAPH, "optimizer": _SYNTHESIS}, {}),
+    ("verify", None): ({"pump": _PUMP, "measurement": _MEASUREMENT, "graph": _GRAPH}, {}),
+    ("oracle-check", None): ({"pump": _PUMP}, {}),
+}
+
+
+def _mode(command: str, scn: ScenarioConfig) -> str | None:
+    """The mode ``command`` runs in, which its optimizer section picks."""
+    o = scn.optimizer
+    if command == "vlf":
+        if o is None:
+            return "fixed detection"
+        return "search with pump phases" if o.optimize_pump_phases else "search"
+    if command == "cluster":
+        if o is None:
+            raise ConfigError("cluster needs the 'optimizer' section")
+        if o.generations == 0:
+            return "forward"
+        return "F_P" if o.fitness == "FP" else "F_C"
+    return None
+
+
+@dataclass(frozen=True)
+class Reading:
+    """What a command reads of its scenario: its mode, the configuration
+    the record echoes, and the seed of its searches, which the record gives."""
+
+    mode: str | None
+    config: dict
+    seed: int | None
+
+
+def _read_config(command: str, scn: ScenarioConfig, seed: int | None = None) -> Reading:
+    """Check ``scn`` against the sections and keys ``command`` reads.
+
+    A required section left out, or a key given in a section the mode
+    reads but not read by it, raises ConfigError naming the command, mode
+    and section or key. A section the mode does not read is accepted and
+    left out of the echo, as are the unread defaults of a section it
+    reads. Where the mode reads ``optimizer.seed``, the seed is ``seed``
+    if given, else that one; elsewhere it is None, since nothing is drawn.
+    """
+    mode = _mode(command, scn)
+    required, optional = _READS[command, mode]
+    label = command if mode is None else f"{command} ({mode})"
+    reads = {**required, **optional}
+    for name, keys in reads.items():
+        section = getattr(scn, name)
+        if section is None:
+            if name in required:
+                raise ConfigError(f"{label} needs the '{name}' section")
+            continue
+        unread = sorted(section.given - set(keys))
+        if unread:
+            listed = ", ".join(f"{name}.{key}" for key in unread)
+            raise ConfigError(f"{label} does not read {listed}")
+    config = {
+        name: {k: v for k, v in value.items() if k in reads[name]} if name in reads else value
+        for name, value in scn.to_dict().items()
+        if name in reads or name in ("array", "output")
+    }
+    if "seed" not in reads.get("optimizer", ()):
+        seed = None
+    elif seed is None:
+        seed = scn.optimizer.seed
+    return Reading(mode, config, seed)
+
+
+# ---------------------------------------------------------------------------
 # supermodes
 
 
-def cmd_supermodes(scn: ScenarioConfig, seed: int | None) -> RunOutput:
+def cmd_supermodes(scn: ScenarioConfig, reading: Reading) -> RunOutput:
     cfg = scn.array.array_config()
     modes = linear_supermodes(cfg)
     header = ["k", "lambda_k"] + [f"m_{j}" for j in range(1, cfg.n + 1)]
@@ -146,15 +248,11 @@ def cmd_supermodes(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         [float(k + 1), float(modes.eigenvalues[k])] + _round_trip(modes.matrix[k])
         for k in range(cfg.n)
     ]
-    record = ResultRecord(
-        command="supermodes",
-        config=scn.to_dict(),
-        seed=seed,
-        results={
-            "eigenvalues": _round_trip(modes.eigenvalues),
-            "matrix": _round_trip(modes.matrix),
-        },
-    )
+    results = {
+        "eigenvalues": _round_trip(modes.eigenvalues),
+        "matrix": _round_trip(modes.matrix),
+    }
+    record = ResultRecord("supermodes", reading.config, reading.seed, results)
     lam = ", ".join(f"{v:+.4f}" for v in modes.eigenvalues)
     return RunOutput(record, f"{cfg.n} supermodes, eigenvalues [{lam}] mm^-1", header, rows)
 
@@ -163,8 +261,7 @@ def cmd_supermodes(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 # propagate
 
 
-def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
-    scn.require("pump")
+def cmd_propagate(scn: ScenarioConfig, reading: Reading) -> RunOutput:
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
     if scn.sweep is not None:
@@ -192,12 +289,8 @@ def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         for i in range(1, cfg.n + 1)
         for col in ("var", "db")
     ]
-    record = ResultRecord(
-        command="propagate",
-        config=scn.to_dict(),
-        seed=seed,
-        results={"header": header, "rows": rows},
-    )
+    results = {"header": header, "rows": rows}
+    record = ResultRecord("propagate", reading.config, reading.seed, results)
     best = float(sm_var.min())
     return RunOutput(
         record,
@@ -212,8 +305,7 @@ def cmd_propagate(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 # vlf
 
 
-def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
-    scn.require("pump")
+def cmd_vlf(scn: ScenarioConfig, reading: Reading) -> RunOutput:
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
     n = cfg.n
@@ -222,22 +314,12 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     grid = [cfg.length] if sweep is None else list(sweep.values)
 
     o = scn.optimizer
-    if o is not None:
+    optimized = reading.mode != "fixed detection"
+    if optimized:
         if o.fitness != "FM":
             raise ConfigError("vlf: optimizer.fitness must be 'FM'")
-        if o.restarts is not None and not o.optimize_pump_phases:
-            raise ConfigError(
-                "vlf: optimizer.restarts applies only with optimize_pump_phases"
-            )
-        if o.target is not None:
-            raise ConfigError("vlf: optimizer.target is not used; the VLF search has no target")
-        if o.eta_max is not None:
-            raise ConfigError(
-                "vlf: optimizer.eta_max is not used; the VLF searches keep the pump amplitude"
-            )
         if not np.allclose(pump.amplitudes, pump.amplitudes[0]):
             raise ConfigError("vlf: optimized runs use a flat pump amplitude")
-        seed = o.seed if seed is None else seed
         restarts = {} if o.restarts is None else {"restarts": o.restarts}
         rows_rho = []
         for v in grid:
@@ -247,7 +329,7 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
                 z,
                 eta,
                 optimize_pump_phases=o.optimize_pump_phases,
-                seed=seed,
+                seed=reading.seed,
                 generations=o.generations,
                 sigma0=0.3 if o.sigma0 is None else o.sigma0,
                 population=o.population,
@@ -256,7 +338,6 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
             )
             rows_rho.append(res.rho)
     else:
-        scn.require("measurement")
         if variable == "z":
             s = propagators(cfg, pump.amplitudes, pump.phases, grid)
         else:
@@ -272,17 +353,8 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     header = [col0] + [f"rho_{i}" for i in range(1, n)] + ["rho_sum"]
     rho = np.asarray(rows_rho, dtype=float)
     rows = np.column_stack([grid, rho, rho.sum(axis=-1)]).tolist()
-    record = ResultRecord(
-        command="vlf",
-        config=scn.to_dict(),
-        seed=seed,
-        results={
-            "variable": variable,
-            "header": header,
-            "rows": rows,
-            "optimized": o is not None,
-        },
-    )
+    results = {"variable": variable, "header": header, "rows": rows, "optimized": optimized}
+    record = ResultRecord("vlf", reading.config, reading.seed, results)
     last = rows[-1]
     return RunOutput(
         record,
@@ -297,33 +369,23 @@ def cmd_vlf(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 # cluster
 
 
-def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
-    scn.require("graph", "optimizer")
+def cmd_cluster(scn: ScenarioConfig, reading: Reading) -> RunOutput:
     cfg = scn.array.array_config()
     graph = scn.graph.graph_spec()
     opt = scn.optimizer
-    eff_seed = opt.seed if seed is None else seed
-
     if opt.fitness == "FM":
         raise ConfigError("cluster: optimizer.fitness must be 'FC' or 'FP'")
-    if opt.optimize_pump_phases:
-        raise ConfigError("cluster: optimizer.optimize_pump_phases applies only to vlf")
-    if opt.sigma0 is not None:
-        raise ConfigError(
-            "cluster: optimizer.sigma0 is not used; the cluster searches use fixed step sizes"
-        )
 
     search, tail = None, {}
     # an unset key leaves the driver's default
     given = {"restarts": opt.restarts, "eta_max": opt.eta_max}
     given = {k: v for k, v in given.items() if v is not None}
-    if opt.generations == 0:
+    if reading.mode == "forward":
         # forward evaluation at the configured pump and detection setting
-        scn.require("pump", "measurement")
         pump = scn.pump.pump_profile()
         theta = scn.measurement.lo_phases()
         state = propagator_exact(cfg, pump, cfg.length)
-        report = certify(state, graph, theta)
+        report = certify(state, graph, theta, gains=scn.measurement.gain_vector(cfg.n))
         fields = {"lo_phases_pi": _round_trip(theta / np.pi), "report": _report_dict(report)}
         s = float(report.nullifier_variances.sum())
         summary = (
@@ -336,7 +398,7 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
             cfg,
             cfg.length,
             graph,
-            seed=eff_seed,
+            seed=reading.seed,
             generations=opt.generations,
             parents=opt.parents,
             population=opt.population,
@@ -390,7 +452,7 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
             generations=int(search.generations),
         )
     results.update(tail)
-    record = ResultRecord("cluster", scn.to_dict(), eff_seed, results)
+    record = ResultRecord("cluster", reading.config, reading.seed, results)
     return RunOutput(record, summary)
 
 
@@ -398,8 +460,7 @@ def cmd_cluster(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 # verify
 
 
-def cmd_verify(scn: ScenarioConfig, seed: int | None) -> RunOutput:
-    scn.require("pump", "measurement", "graph")
+def cmd_verify(scn: ScenarioConfig, reading: Reading) -> RunOutput:
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
     graph = scn.graph.graph_spec()
@@ -408,7 +469,7 @@ def cmd_verify(scn: ScenarioConfig, seed: int | None) -> RunOutput:
     state = propagator_exact(cfg, pump, cfg.length)
     report = certify(state, graph, theta, gains=gains)
     results = {"report": _report_dict(report), "state": _state_summary(state)}
-    record = ResultRecord("verify", scn.to_dict(), seed, results)
+    record = ResultRecord("verify", reading.config, reading.seed, results)
     code = 0 if report.passed else 2
     return RunOutput(
         record,
@@ -422,8 +483,7 @@ def cmd_verify(scn: ScenarioConfig, seed: int | None) -> RunOutput:
 # oracle-check
 
 
-def cmd_oracle_check(scn: ScenarioConfig, seed: int | None) -> RunOutput:
-    scn.require("pump")
+def cmd_oracle_check(scn: ScenarioConfig, reading: Reading) -> RunOutput:
     cfg = scn.array.array_config()
     pump = scn.pump.pump_profile()
     z = cfg.length
@@ -471,7 +531,7 @@ def cmd_oracle_check(scn: ScenarioConfig, seed: int | None) -> RunOutput:
         results["no_ordering_error_slope"] = slope
         results["no_ordering_errors"] = _round_trip(errs)
         results["no_ordering_scales"] = _round_trip(scales)
-    record = ResultRecord("oracle-check", scn.to_dict(), seed, results)
+    record = ResultRecord("oracle-check", reading.config, reading.seed, results)
     parts = [f"exact vs RK4 {results['exact_vs_rk4']:.2e}"]
     if flat:
         parts.append(f"analytic vs no-ordering {results['analytic_vs_no_ordering']:.2e}")
@@ -604,7 +664,8 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scn = load_config(args.config)
-        out = _COMMANDS[args.command][0](scn, args.seed)
+        reading = _read_config(args.command, scn, args.seed)
+        out = _COMMANDS[args.command][0](scn, reading)
         outdir = Path(args.out) if args.out is not None else Path(scn.output.directory)
         fmt = args.format if args.format is not None else scn.output.format
         written = _write_outputs(out, outdir, fmt)

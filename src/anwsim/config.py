@@ -152,6 +152,10 @@ def _spec(cls):
 class _Section:
     """Reads and echoes a section from its fields; a subclass sets ``_where``."""
 
+    #: names of the keys a parsed section was given, defaults left out; a
+    #: section built in Python was given none
+    given: frozenset[str] = frozenset()
+
     @classmethod
     def _parse(cls, d, extra: tuple[str, ...] = ()) -> dict:
         """The parsed keys of ``d``; ``extra`` keys are allowed and left out."""
@@ -171,7 +175,14 @@ class _Section:
 
     @classmethod
     def from_dict(cls, d: dict):
-        return cls(**cls._parse(d))
+        return cls._build(cls._parse(d))
+
+    @classmethod
+    def _build(cls, parsed: dict):
+        """The section holding the parsed keys, which it keeps as ``given``."""
+        section = cls(**parsed)
+        object.__setattr__(section, "given", frozenset(parsed))
+        return section
 
     def to_dict(self) -> dict:
         """Every key that is not None or False, tuples as lists."""
@@ -335,7 +346,7 @@ class SweepSection(_Section):
             if points < 1:
                 raise ConfigError("sweep: points must be positive")
             out["values"] = tuple(np.linspace(start, stop, points).tolist())
-        return cls(**out)
+        return cls._build(out)
 
 
 @dataclass(frozen=True)
@@ -381,11 +392,6 @@ class ScenarioConfig(_Section):
                 raise ConfigError(
                     f"graph.preset '{graph.preset}' has {nodes} nodes but array.n is {n}"
                 )
-
-    def require(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is None:
-                raise ConfigError(f"scenario: this command needs a '{name}' section")
 
 
 def parse_config(d: dict) -> ScenarioConfig:

@@ -1,5 +1,6 @@
 """Tests for the command-line runners and their result records."""
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -300,7 +301,7 @@ class TestVlf:
         """--seed wins over the configured optimizer seed and is recorded."""
         data = {
             "array": ARRAY,
-            "pump": {"amplitudes": [0.015] * 5, "phases_pi": [-0.5] * 5},
+            "pump": {"amplitudes": [0.015] * 5},
             "optimizer": {"fitness": "FM", "generations": 10, "seed": 7},
         }
         cfg_path = write_config(tmp_path, data)
@@ -358,7 +359,7 @@ class TestVlf:
         }
         cfg_path = write_config(tmp_path, data)
         assert run(["vlf", "--config", cfg_path, "--out", str(tmp_path)]) == 1
-        assert "restarts applies only with optimize_pump_phases" in capsys.readouterr().err
+        assert "vlf (search) does not read optimizer.restarts" in capsys.readouterr().err
 
     def test_rejects_target(self, tmp_path, capsys):
         """The VLF searches have no target, so a configured one is refused
@@ -376,7 +377,8 @@ class TestVlf:
         cfg_path = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert run(["vlf", "--config", cfg_path, "--out", str(out)]) == 1
-        assert "vlf: optimizer.target is not used" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "vlf (search with pump phases) does not read optimizer.target" in err
         assert not out.exists()
 
     def test_rejects_eta_max(self, tmp_path, capsys):
@@ -390,7 +392,7 @@ class TestVlf:
         cfg_path = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert run(["vlf", "--config", cfg_path, "--out", str(out)]) == 1
-        assert "vlf: optimizer.eta_max is not used" in capsys.readouterr().err
+        assert "vlf (search) does not read optimizer.eta_max" in capsys.readouterr().err
         assert not out.exists()
 
     def test_optimizer_needs_fm(self, tmp_path, capsys):
@@ -415,13 +417,6 @@ class TestVlf:
         assert run(["vlf", "--config", cfg_path, "--out", str(tmp_path)]) == 1
         assert "flat pump amplitude" in capsys.readouterr().err
 
-    def test_forward_needs_measurement(self, tmp_path, capsys):
-        """Without an optimizer the measurement block is required."""
-        data = {"array": ARRAY, "pump": {"amplitudes": [0.015] * 5}}
-        cfg_path = write_config(tmp_path, data)
-        assert run(["vlf", "--config", cfg_path, "--out", str(tmp_path)]) == 1
-        assert "needs a 'measurement' section" in capsys.readouterr().err
-
 
 class TestCluster:
     """Cluster synthesis and forward evaluation."""
@@ -445,16 +440,34 @@ class TestCluster:
         assert np.allclose(variances, [0.20, 0.39, 0.37, 0.38, 0.20], atol=0.05)
         assert "certified=True" in capsys.readouterr().out
 
-    def test_forward_needs_pump(self, tmp_path, capsys):
-        """Forward evaluation demands a configured pump."""
-        data = {
-            "array": ARRAY,
-            "graph": {"preset": "linear"},
-            "optimizer": {"fitness": "FC", "generations": 0},
-        }
-        cfg_path = write_config(tmp_path, data)
-        assert run(["cluster", "--config", cfg_path, "--out", str(tmp_path)]) == 1
-        assert "needs a 'pump' section" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "key, value",
+        [("population", 12), ("parents", 3), ("restarts", 2), ("eta_max", 0.05),
+         ("target", 1.0), ("seed", 0)],
+    )
+    def test_forward_refuses_search_keys(self, tmp_path, capsys, key, value):
+        """A forward run reads only the fitness and generations of its
+        optimizer: a search setting, even the default seed 0, exits 1 naming
+        the key instead of being echoed into the record as if it were used."""
+        data = {**LINEAR_VERIFY, "optimizer": {"fitness": "FC", "generations": 0, key: value}}
+        out = tmp_path / "out"
+        assert run(["cluster", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
+        assert f"cluster (forward) does not read optimizer.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "verify"])
+    def test_forward_record_has_no_seed(self, tmp_path, command):
+        """A forward run draws no random numbers, so its record's seed is
+        null, as verify's is, even with --seed, and its optimizer echo holds
+        what it read."""
+        data = {**LINEAR_VERIFY, "optimizer": {"fitness": "FC", "generations": 0}}
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, data), "--out", str(out)]
+        assert run([*argv, "--seed", "9"]) == 0
+        record = read_record(out, command)
+        assert record["seed"] is None
+        if command == "cluster":
+            assert record["config"]["optimizer"] == {"fitness": "FC", "generations": 0}
 
     def test_fc_synthesis_record(self, tmp_path):
         """A small F_C run produces a consistent synthesis record."""
@@ -610,9 +623,9 @@ class TestCluster:
         cfg_path = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert run(["cluster", "--config", cfg_path, "--out", str(out)]) == 1
-        assert "cluster: optimizer.optimize_pump_phases applies only to vlf" in (
-            capsys.readouterr().err
-        )
+        mode = "forward" if generations == 0 else "F_C"
+        err = capsys.readouterr().err
+        assert f"cluster ({mode}) does not read optimizer.optimize_pump_phases" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("generations", [0, 3])
@@ -629,7 +642,9 @@ class TestCluster:
         cfg_path = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert run(["cluster", "--config", cfg_path, "--out", str(out)]) == 1
-        assert "cluster: optimizer.sigma0 is not used" in capsys.readouterr().err
+        mode = "forward" if generations == 0 else "F_C"
+        err = capsys.readouterr().err
+        assert f"cluster ({mode}) does not read optimizer.sigma0" in err
         assert not out.exists()
 
 
@@ -769,13 +784,20 @@ class TestVerify:
         )
         assert not out.exists()
 
-    def test_missing_section_exits_one(self, tmp_path, capsys):
-        """Verify needs pump, measurement and graph blocks."""
-        data = {"array": ARRAY, "pump": LINEAR_PUMP}
-        cfg_path = write_config(tmp_path, data)
-        assert run(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 1
-        assert "needs a" in capsys.readouterr().err
-
+    def test_forward_cluster_report_equals_verify(self, tmp_path):
+        """verify and a forward cluster run on one scenario with measurement
+        gains give equal report blocks: both certify with those gains."""
+        gains = [0.5, 0.5, 0.5, 0.5, 0.5]
+        data = {**LINEAR_VERIFY, "measurement": {"lo_phases_pi": [0.0] * 5, "gains": gains}}
+        reports = {}
+        for command in ("verify", "cluster"):
+            if command == "cluster":
+                data["optimizer"] = {"fitness": "FC", "generations": 0}
+            out = tmp_path / command
+            assert run([command, "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+            reports[command] = read_record(out, command)["results"]["report"]
+        assert reports["verify"]["gains"] == gains
+        assert reports["cluster"] == reports["verify"]
 
     @pytest.mark.parametrize("command", ["verify", "cluster"])
     @pytest.mark.parametrize(
@@ -1298,3 +1320,174 @@ class TestDriver:
         )
         lines = out.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("False", "0 True")
+
+
+# one scenario per command and mode, giving every key the mode reads at
+# budgets small enough to run each mode here, but the graph's preset (only
+# an adjacency takes a name) and the plain VLF search's pump-phase flag,
+# which is false and so stays out of the echo
+PATH5 = [[0, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0]]
+GRAPH = {"adjacency": PATH5, "name": "path", "labeling": [5, 4, 3, 2, 1]}
+MEASUREMENT = {"lo_phases_pi": [0.0] * 5, "gains": [0.0, 0.1, -0.1, 0.2, 0.0]}
+VLF_SEARCH = {
+    "fitness": "FM", "population": 8, "parents": 2, "generations": 2, "seed": 3, "sigma0": 0.2,
+}
+SYNTHESIS = {
+    "population": 8, "parents": 2, "generations": 2, "restarts": 1, "eta_max": 0.08, "target": 0.5,
+}
+MODE_SCENARIOS = {
+    ("supermodes", None): {"array": ARRAY},
+    ("propagate", None): {
+        "array": ARRAY, "pump": LINEAR_PUMP,
+        "sweep": {"variable": "z", "values": [0.0, 15.0, 30.0]},
+    },
+    ("vlf", "fixed detection"): {
+        "array": ARRAY, "pump": LINEAR_PUMP, "measurement": MEASUREMENT,
+        "sweep": {"variable": "eta", "values": [0.0, 0.05]},
+    },
+    ("vlf", "search"): {
+        "array": ARRAY, "pump": {"amplitudes": [0.015] * 5}, "optimizer": VLF_SEARCH,
+        "sweep": {"variable": "z", "values": [15.0, 30.0]},
+    },
+    ("vlf", "search with pump phases"): {
+        "array": ARRAY, "pump": {"amplitudes": [0.015] * 5},
+        "optimizer": {**VLF_SEARCH, "restarts": 2, "optimize_pump_phases": True},
+        "sweep": {"variable": "eta", "values": [0.015]},
+    },
+    ("cluster", "forward"): {
+        "array": ARRAY, "pump": LINEAR_PUMP, "measurement": MEASUREMENT, "graph": GRAPH,
+        "optimizer": {"fitness": "FC", "generations": 0},
+    },
+    ("cluster", "F_C"): {
+        "array": ARRAY, "graph": GRAPH, "optimizer": {"fitness": "FC", "seed": 41, **SYNTHESIS},
+    },
+    ("cluster", "F_P"): {
+        "array": ARRAY, "graph": GRAPH, "optimizer": {"fitness": "FP", "seed": 11, **SYNTHESIS},
+    },
+    ("verify", None): {
+        "array": ARRAY, "pump": LINEAR_PUMP, "measurement": MEASUREMENT, "graph": GRAPH,
+    },
+    ("oracle-check", None): {"array": ARRAY, "pump": LINEAR_PUMP},
+}
+# a valid section of each kind, for the modes that do not read it
+SPARE_SECTIONS = {
+    "pump": LINEAR_PUMP,
+    "measurement": MEASUREMENT,
+    "graph": {"preset": "linear"},
+    "optimizer": {"fitness": "FC"},
+    "sweep": {"variable": "z", "values": [1.0]},
+}
+# a valid value for each key that some mode does not read
+UNREAD_VALUES = {
+    "phases_pi": [0.0] * 5,
+    "population": 12,
+    "parents": 3,
+    "seed": 5,
+    "sigma0": 0.2,
+    "eta_max": 0.05,
+    "restarts": 2,
+    "target": 1.0,
+    "optimize_pump_phases": True,
+}
+
+
+def mode_id(key) -> str:
+    command, mode = key
+    return command if mode is None else f"{command}-{mode.replace(' ', '_')}"
+
+
+def mode_label(key) -> str:
+    """How an error message names a command and its mode."""
+    command, mode = key
+    return command if mode is None else f"{command} ({mode})"
+
+
+def with_unread_sections(key) -> dict:
+    """The mode's scenario plus a spare section of each kind it does not
+    read; vlf gets no spare optimizer, which would pick a search mode."""
+    required, optional = cli._READS[key]
+    spare = {
+        name: section
+        for name, section in SPARE_SECTIONS.items()
+        if name not in required and name not in optional
+        and not (key[0] == "vlf" and name == "optimizer")
+    }
+    return {**MODE_SCENARIOS[key], **spare}
+
+
+class TestReads:
+    """One table in the CLI decides, for each command and mode, the
+    sections it requires, the keys it reads and what its record echoes.
+
+    The cases here come from that table; TestVlf and TestCluster pin some
+    of its entries by hand (the refused target, eta_max, restarts, sigma0
+    and pump-phase flag), which a table-driven test cannot do.
+    """
+
+    def test_table_covers_every_mode(self):
+        assert set(cli._READS) == set(MODE_SCENARIOS)
+
+    @pytest.mark.parametrize("key", list(MODE_SCENARIOS), ids=mode_id)
+    def test_mode_reads_table(self, tmp_path, capsys, key):
+        """Sections the mode does not read are accepted and left out of the
+        echo, which holds each key the mode reads and no other; each key it
+        does not read, given in a section it reads, exits 1 naming the
+        command, mode and key; and each required section left out exits 1."""
+        command = key[0]
+        required, optional = cli._READS[key]
+        reads = {**required, **optional}
+        data = MODE_SCENARIOS[key]
+        out = tmp_path / "out"
+        code = run([command, "--config", write_config(tmp_path, with_unread_sections(key)),
+                    "--out", str(out)])
+        assert code in ((0, 2) if command == "verify" else (0,))
+        config = read_record(out, command)["config"]
+        assert list(config) == list(parse_config(data).to_dict())
+        for name, keys in reads.items():
+            unechoed = {"preset"} | ({"optimize_pump_phases"} if key[1] == "search" else set())
+            assert set(config[name]) == set(keys) - unechoed, name
+
+        scn = parse_config(data)
+        refused = 0
+        for name, keys in reads.items():
+            for field in dataclasses.fields(getattr(scn, name)):
+                if field.name in keys:
+                    continue
+                section = {**data[name], field.name: UNREAD_VALUES[field.name]}
+                path = write_config(tmp_path, {**data, name: section}, name="unread.json")
+                out = tmp_path / f"unread_{name}_{field.name}"
+                assert run([command, "--config", path, "--out", str(out)]) == 1, field.name
+                err = capsys.readouterr().err
+                assert f"anwsim: error: {mode_label(key)} does not read {name}.{field.name}" in err
+                assert not out.exists()
+                refused += 1
+        assert refused == sum(
+            len(dataclasses.fields(getattr(scn, name))) - len(keys) for name, keys in reads.items()
+        )
+
+        for name in required:
+            short = {k: v for k, v in data.items() if k != name}
+            out = tmp_path / f"without_{name}"
+            path = write_config(tmp_path, short, name="short.json")
+            assert run([command, "--config", path, "--out", str(out)]) == 1, name
+            err = capsys.readouterr().err
+            # without its optimizer, vlf runs fixed detection, which needs a measurement
+            named = "measurement" if (command == "vlf" and name == "optimizer") else name
+            assert f"needs the '{named}' section" in err and f"error: {command}" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key", list(MODE_SCENARIOS), ids=mode_id)
+    def test_record_replays(self, tmp_path, key):
+        """Rerunning a command on its own record's config, which leaves out
+        the sections it did not read, gives the same config and the same
+        results block, byte for byte."""
+        command = key[0]
+        first, again = tmp_path / "first", tmp_path / "again"
+        run([command, "--config", write_config(tmp_path, with_unread_sections(key)),
+             "--out", str(first)])
+        record = read_record(first, command)
+        replay = write_config(tmp_path, record["config"], name="replay.json")
+        run([command, "--config", replay, "--out", str(again)])
+        echo = read_record(again, command)
+        assert echo["config"] == record["config"]
+        assert json.dumps(echo["results"]) == json.dumps(record["results"])

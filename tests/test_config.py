@@ -392,13 +392,6 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=message):
             build()
 
-    def test_require(self):
-        """Commands can demand the sections they need."""
-        cfg = parse_config(MINIMAL)
-        cfg.require("array")
-        with pytest.raises(ConfigError, match="needs a 'pump' section"):
-            cfg.require("pump")
-
 
 class TestLoadConfig:
     """File-level loading."""
