@@ -17,6 +17,7 @@ are deterministic for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -111,31 +112,35 @@ class ParameterSpace:
     def dimension(self) -> int:
         return len(self.kinds)
 
-    @property
+    @cached_property
     def lower(self) -> np.ndarray:
-        return np.array(
+        return _read_only(
             [
                 0.0 if k == "amplitude" else -GAIN_LIMIT if k == "gain" else -np.inf
                 for k in self.kinds
             ]
         )
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return np.array(
+        return _read_only(
             [
                 self.eta_max if k == "amplitude" else GAIN_LIMIT if k == "gain" else np.inf
                 for k in self.kinds
             ]
         )
 
-    @property
+    @cached_property
     def scales(self) -> np.ndarray:
         """Natural step-size scale per dimension (eta_max for amplitudes)."""
-        return np.array([self.eta_max if k == "amplitude" else 1.0 for k in self.kinds])
+        return _read_only([self.eta_max if k == "amplitude" else 1.0 for k in self.kinds])
+
+    @cached_property
+    def _angles(self) -> np.ndarray:
+        return _read_only([k == "angle" for k in self.kinds])
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        return np.asarray(x).clip(self.lower, self.upper)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A random start point, drawn by one uniform call over the start
@@ -147,9 +152,16 @@ class ParameterSpace:
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Wrap angle dimensions to (-pi, pi]; other dimensions untouched."""
         out = np.array(x, dtype=float)
-        mask = np.array([k == "angle" for k in self.kinds])
-        out[mask] = _wrap_angle(out[mask])
+        out[..., self._angles] = _wrap_angle(out[..., self._angles])
         return out
+
+
+def _read_only(values: list) -> np.ndarray:
+    """An array of the values that no caller can modify: a space builds its
+    bounds, scales and angle mask once and hands out the same arrays."""
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
 
 
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
@@ -249,60 +261,108 @@ def evolve(problem: OptimizationProblem, config: ESConfig = ESConfig()) -> Optim
     Parents are recombined by arithmetic mean (geometric mean for the
     step sizes), offspring mutate their own step-size vectors through
     log-normal perturbations, and selection is comma (parents die each
-    generation) with best-so-far tracking. Stops early when the target
-    fitness is reached. The fitness is called once per generation on
-    the (lambda, d) batch of offspring (once on the mu initial parents).
+    generation) with best-so-far tracking (Beyer and Schwefel, Natural
+    Computing 1:3, 2002). Stops early when the target fitness is reached.
+    The fitness is called once per generation on the (lambda, d) batch of
+    offspring (once on the mu initial parents).
+
+    This is the one-run case of ``_evolve``. A search whose restarts all
+    run (F_M with pump phases, F_C without a target) runs them in
+    lockstep there, one fitness batch per generation; the F_P search and
+    F_C with a target call this once per restart, because their stop
+    usually ends the search after the first (``_multistart``).
     """
-    rng = np.random.default_rng(config.seed)
-    space = problem.space
+    return _evolve(problem.fitness, problem.space, [(problem.x0, config)])[0]
+
+
+def _evolve(
+    fitness: Callable[[np.ndarray], np.ndarray],
+    space: ParameterSpace,
+    runs: list[tuple[np.ndarray, ESConfig]],
+) -> list[OptimizationResult]:
+    """Run independent ES runs in lockstep, one fitness batch per generation.
+
+    Each run is an (x0, config) pair. The runs share the population,
+    parents, generation budget and target of their configs; each brings
+    its own sigma0 and seed. The fitness is called once on the (R mu, d)
+    stack of every run's initial parents, then once per generation on the
+    (R' lambda, d) stack of offspring of the R' runs still short of the
+    target, in run order. A run draws from its own generator with the
+    shapes a lone run draws, and does its own arithmetic, so its result
+    is bit-equal to running it alone as long as the fitness of a stack
+    equals the fitness of its slices. Memory grows with the stack: R
+    lambda candidates per generation.
+    """
+    config = runs[0][1]
     n = space.dimension
     mu, lam = config.parents, config.population
     tau_g = 1.0 / np.sqrt(2.0 * n)
     tau_c = 1.0 / np.sqrt(2.0 * np.sqrt(n))
-    raw = np.asarray(config.sigma0, dtype=float)
+    rngs = [np.random.default_rng(c.seed) for _, c in runs]
     # scalar step sizes are in natural units, vectors are taken verbatim
-    sigma0 = float(raw) * space.scales if raw.ndim == 0 else np.broadcast_to(raw, (n,)).copy()
-
-    xs = space.clip(problem.x0 + sigma0 * rng.standard_normal((mu, n)))
-    ss = np.tile(sigma0, (mu, 1))
-    fs = _evaluate(problem.fitness, xs)
-    evals = mu
-    order = np.argsort(fs, kind="stable")
-    best_f = float(fs[order[0]])
-    best_x = xs[order[0]].copy()
-    trace = []
-
-    gens = 0
-    for _ in range(config.max_generations):
-        gens += 1
-        xm = xs.mean(axis=0)
-        sm = np.exp(np.log(ss).mean(axis=0))
+    raw = [np.asarray(c.sigma0, dtype=float) for _, c in runs]
+    sigma0 = np.stack(
+        [float(s) * space.scales if s.ndim == 0 else np.broadcast_to(s, (n,)) for s in raw]
+    )[:, None, :]
+    x0 = np.stack([x for x, _ in runs])[:, None, :]
+    xs = space.clip(x0 + sigma0 * np.stack([rng.standard_normal((mu, n)) for rng in rngs]))
+    ss = np.repeat(sigma0, mu, axis=1)
+    fs = _evaluate(fitness, xs.reshape(-1, n)).reshape(len(runs), mu)
+    top = fs.argmin(axis=1)
+    best_f = fs[np.arange(len(runs)), top]
+    best_x = xs[np.arange(len(runs)), top]
+    # best_f and best_x of every run; live indexes the runs still short of
+    # the target, and xs and ss hold their parents; row g of trace is valid
+    # for the runs that ran generation g, and a run stops after gens of them
+    live = np.arange(len(runs))
+    trace = np.empty((config.max_generations, len(runs)))
+    gens = np.full(len(runs), config.max_generations)
+    draws = np.empty((len(runs), lam, 2 * n + 1))
+    # row k of the stack starts at candidate k lambda
+    offset = lam * np.arange(len(runs))[:, None]
+    for g in range(config.max_generations):
+        # means over each run's parents: the bits of mean(), without its
+        # Python-level overhead
+        xm = np.add.reduce(xs, axis=1, keepdims=True) / mu
+        sm = np.exp(np.add.reduce(np.log(ss), axis=1, keepdims=True) / mu)
         # per offspring: one global step-size draw, n per-dimension step-size
         # draws and n mutation draws, in that order
-        draws = rng.standard_normal((lam, 2 * n + 1))
-        cand_s = np.clip(
-            sm * np.exp(tau_g * draws[:, :1] + tau_c * draws[:, 1 : n + 1]), 1e-9, 2.0
+        for rng, out in zip(rngs, draws):
+            rng.standard_normal(out=out)
+        cand_s = (sm * np.exp(tau_g * draws[..., :1] + tau_c * draws[..., 1 : n + 1])).clip(
+            1e-9, 2.0
         )
-        cand_x = space.clip(xm + cand_s * draws[:, n + 1 :])
-        cand_f = _evaluate(problem.fitness, cand_x)
-        evals += lam
-        idx = np.argsort(cand_f, kind="stable")[:mu]
-        xs, ss, fs = cand_x[idx], cand_s[idx], cand_f[idx]
-        if fs[0] < best_f:
-            best_f = float(fs[0])
-            best_x = xs[0].copy()
-        trace.append(best_f)
-        if config.target is not None and best_f <= config.target:
-            break
+        cand_x = space.clip(xm + cand_s * draws[..., n + 1 :]).reshape(-1, n)
+        cand_f = _evaluate(fitness, cand_x)
+        idx = cand_f.reshape(len(live), lam).argsort(axis=1, kind="stable")[:, :mu]
+        idx += offset
+        xs, ss, fs = cand_x[idx], cand_s.reshape(-1, n)[idx], cand_f[idx]
+        better = fs[:, 0] < best_f[live]
+        if np.count_nonzero(better):
+            best_f[live[better]] = fs[better, 0]
+            best_x[live[better]] = xs[better, 0]
+        trace[g] = best_f
+        if config.target is not None:
+            short = best_f[live] > config.target
+            if not short.all():
+                gens[live[~short]] = g + 1
+                live, xs, ss = live[short], xs[short], ss[short]
+                if not live.size:
+                    break
+                rngs = [rng for rng, keep in zip(rngs, short) if keep]
+                draws, offset = draws[: len(live)], offset[: len(live)]
 
-    return OptimizationResult(
-        parameters=space.wrap(best_x),
-        fitness=best_f,
-        trace=np.array(trace),
-        evaluations=evals,
-        generations=gens,
-        seed=config.seed,
-    )
+    return [
+        OptimizationResult(
+            parameters=space.wrap(best_x[r]),
+            fitness=float(best_f[r]),
+            trace=trace[: gens[r], r].copy(),
+            evaluations=mu + lam * int(gens[r]),
+            generations=int(gens[r]),
+            seed=c.seed,
+        )
+        for r, (_, c) in enumerate(runs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +517,33 @@ def _multistart(
     holds. The merged result carries the best parameters, the
     best-so-far trace over all runs, the summed evaluations and
     ``seed``; it is returned with the number of restarts run.
+
+    Without ``stop`` every restart runs, so they all run in lockstep
+    (``_evolve``): one fitness batch per generation over every run still
+    short of the in-run target. That is the F_M pump-phase search and the
+    F_C search without a target. With ``stop`` (the F_P search and F_C
+    with a target) the restarts run one at a time through ``evolve``:
+    the stop usually holds after restart 0, so running later restarts
+    alongside it would multiply the work. A single restart runs through
+    ``evolve`` as well. Either way each run's result is the same bits.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
+
+    def run(r: int) -> tuple[np.ndarray, ESConfig]:
+        x0, sigma0 = first if r == 0 and first is not None else (space.sample(rng), sigma)
+        return x0, replace(es, sigma0=sigma0, seed=seed + es_seed(r))
+
+    if stop is None and restarts > 1:
+        results = iter(_evolve(fitness, space, [run(r) for r in range(restarts)]))
+    else:
+        starts = map(run, range(restarts))
+        results = (evolve(OptimizationProblem(fitness, space, x0), c) for x0, c in starts)
     best: OptimizationResult | None = None
     trace: list[float] = []
     evals = 0
-    for r in range(restarts):
-        x0, sigma0 = first if r == 0 and first is not None else (space.sample(rng), sigma)
-        res = evolve(
-            OptimizationProblem(fitness, space, x0),
-            replace(es, sigma0=sigma0, seed=seed + es_seed(r)),
-        )
+    for r, res in enumerate(results):
         evals += res.evaluations
         running = best.fitness if best is not None else np.inf
         trace.extend(np.minimum(res.trace, running).tolist())

@@ -1,6 +1,7 @@
 """Tests for the evolution strategy and the synthesis drivers."""
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,15 @@ class TestParameterSpace:
         space = ParameterSpace(kinds=("amplitude", "gain", "angle"))
         clipped = space.clip(np.array([0.5, -20.0, 9.0]))
         assert np.allclose(clipped, [ETA_MAX, -GAIN_LIMIT, 9.0])
+
+    def test_bounds_built_once_and_read_only(self):
+        """A space hands out the same bound and scale arrays on every call,
+        and no caller can modify them."""
+        space = ParameterSpace(kinds=("amplitude", "gain", "angle"))
+        for name in ("lower", "upper", "scales"):
+            assert getattr(space, name) is getattr(space, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(space, name)[0] = 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -449,14 +459,19 @@ class TestRestartRule:
 
     @staticmethod
     def record(monkeypatch):
+        """Every ES run's start, step and seed, whether its restarts ran
+        one at a time or in lockstep."""
         runs = []
-        real = optimize.evolve
+        real = optimize._evolve
 
-        def spy(problem, config):
-            runs.append((problem.x0.copy(), np.asarray(config.sigma0, dtype=float), config.seed))
-            return real(problem, config)
+        def spy(fitness, space, batch):
+            for x0, config in batch:
+                runs.append(
+                    (np.array(x0, dtype=float), np.asarray(config.sigma0, dtype=float), config.seed)
+                )
+            return real(fitness, space, batch)
 
-        monkeypatch.setattr(optimize, "evolve", spy)
+        monkeypatch.setattr(optimize, "_evolve", spy)
         return runs
 
     @staticmethod
@@ -521,6 +536,77 @@ class TestRestartRule:
             x0 = np.concatenate([rng.uniform(0.0, 0.05, 5), rng.uniform(-np.pi, np.pi, 15)])
             expected.append((x0, sigma0, 11 + 101 * r + 1))
         self.check(runs, expected)
+
+
+class TestLockstepRestarts:
+    """Restarts without a stop run in lockstep, one fitness batch per
+    generation; a search with a stop runs them one at a time."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        restarts=st.integers(1, 5),
+        sizes=st.sampled_from([(1, 4), (2, 6), (3, 9), (5, 12), (10, 20)]),
+        first=st.sampled_from([None, "scalar", "vector"]),
+        target=st.sampled_from([None, 0.5, 0.05]),
+        generations=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_equals_one_at_a_time(
+        self, restarts, sizes, first, target, generations, seed
+    ):
+        """Merged results are bit-equal to the same search forced restart by
+        restart, also when runs reach the in-run target at different
+        generations."""
+        space = ParameterSpace(kinds=("amplitude", "angle", "gain", "free") * 2)
+        parents, population = sizes
+        es = ESConfig(
+            population=population, parents=parents, max_generations=generations, target=target
+        )
+        x0 = np.linspace(0.0, 0.8, 8)
+        start = {
+            None: None,
+            "scalar": (x0, 0.3),
+            "vector": (x0, np.linspace(0.01, 0.9, 8)),
+        }[first]
+        args = (sphere, space, start, 0.5, es, restarts, seed)
+        a, used_a = optimize._multistart(*args)
+        b, used_b = optimize._multistart(*args, stop=lambda best: False)
+        assert a.parameters.tobytes() == b.parameters.tobytes()
+        assert a.fitness == b.fitness
+        assert a.trace.tobytes() == b.trace.tobytes()
+        assert (a.evaluations, a.generations, a.seed) == (b.evaluations, b.generations, b.seed)
+        assert used_a == used_b == restarts
+
+    def test_fitness_batches(self):
+        """Without a stop: one (R mu, d) batch, then one batch per generation
+        holding lambda rows of each run still short of the target. With a
+        stop: mu- and lambda-row batches one restart at a time."""
+        space = free_space(3)
+        mu, lam, seed = 2, 6, 3
+        es = ESConfig(population=lam, parents=mu, max_generations=30, target=0.01)
+        rng = np.random.default_rng(seed)
+        gens = [
+            evolve(
+                OptimizationProblem(sphere, space, space.sample(rng)),
+                replace(es, sigma0=1.0, seed=seed + 1000 * r),
+            ).generations
+            for r in range(3)
+        ]
+        assert len(set(gens)) == 3  # the runs drop out at different generations
+
+        seen = []
+
+        def fitness(x):
+            seen.append(x.shape)
+            return sphere(x)
+
+        optimize._multistart(fitness, space, None, 1.0, es, 3, seed)
+        assert seen == [(3 * mu, 3)] + [
+            (lam * sum(g > k for g in gens), 3) for k in range(max(gens))
+        ]
+        seen.clear()
+        optimize._multistart(fitness, space, None, 1.0, es, 3, seed, stop=lambda best: False)
+        assert seen == [s for g in gens for s in [(mu, 3)] + [(lam, 3)] * g]
 
 
 class TestSynthesizeCluster:
